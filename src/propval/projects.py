@@ -1,13 +1,21 @@
 """Cash-flow project analysis: NPV, all-root IRR search, and comparison.
 
 A project is a dated cash-flow vector starting at time zero. NPV is the
-plain discounted sum; the IRR search scans the rate axis for sign changes
-and bisects each bracket, so it finds every transversal root in bounds
-(tangent roots, where the NPV curve touches zero without crossing, are not
-guaranteed). The pitfalls of quoting a single IRR are first-class here:
-sign-flipped projects share roots, multiple or missing roots are reported
-as such, and the profitability shortcut r < IRR is only applied when the
-NPV curve is guaranteed to slope downward.
+plain discounted sum. The IRR search treats NPV as a polynomial in
+w = 1/(1+r) and isolates its roots on two charts that keep every power of
+the variable at most 1: w itself for r >= 0, and 1+r (coefficients
+reversed) for r < 0. Flows with at most one Descartes sign change have at
+most one IRR and need one bracketed solve; other flows are bisected until
+enclosures of the NPV and its slope prove each piece holds no root or at
+most one, or the piece is narrower than ROOT_RESOLUTION in rate. Roots
+closer than ROOT_RESOLUTION are reported once, and a tangent root (the
+curve touching zero without crossing) is reported when the NPV at the
+touching point is zero within its own rounding error.
+
+The pitfalls of quoting a single IRR are first-class here: sign-flipped
+projects share roots, multiple or missing roots are reported as such, and
+the profitability shortcut r < IRR is only applied when the NPV curve is
+guaranteed to slope downward.
 
 Pairwise choice works through the difference project: subtract the two
 cash-flow vectors in the orientation whose NPV slopes downward, and its
@@ -19,8 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .render import align_table, format_fixed, format_percent
 
@@ -45,11 +51,11 @@ __all__ = [
 ]
 
 DEFAULT_IRR_BOUNDS = (-0.999, 10.0)
-SCAN_STEP = 1e-3
+# isolation stops at nodes this narrow in rate; closer roots are reported once
+ROOT_RESOLUTION = 1e-6
 ROOT_TOL = 1e-9
-# bisection may continue past ROOT_TOL width until the NPV residual is this
-# small relative to total absolute cash flow (steep curves near rate -1)
-NPV_RESIDUAL_REL = 1e-6
+_EPS = 2.0**-53  # unit roundoff of a double
+_MAX_SOLVE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -116,51 +122,148 @@ def npv(project: Project, rate: float) -> float:
     return total
 
 
-def _npv_grid(cashflows: tuple[float, ...], rates: np.ndarray) -> np.ndarray:
-    # Horner in 1/(1+r): C_0 + w(C_1 + w(C_2 + ...))
-    w = 1.0 / (1.0 + rates)
-    vals = np.full_like(rates, cashflows[-1])
-    for flow in cashflows[-2::-1]:
-        vals = vals * w + flow
-    return vals
+def _horner(coeffs, x: float) -> tuple[float, float]:
+    # p(x) and p'(x); coeffs run from the highest power down
+    p = dp = 0.0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, width_tol: float, residual_tol: float) -> float:
-    # phase 1: shrink the bracket to width_tol
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
+def _straddles_zero(fa: float, fb: float) -> bool:
+    return min(fa, fb) <= 0.0 <= max(fa, fb)
+
+
+def _floor(fa: float, fb: float, slope_lo: float, slope_hi: float, width: float) -> float:
+    """A lower bound on |p| over a node whose ends fa, fb share a sign,
+    given that p' lies in [slope_lo, slope_hi] there (slope_lo <= 0 <=
+    slope_hi): the lowest point of the lines bounding p from either end."""
+    if fa < 0.0:
+        fa, fb, slope_lo, slope_hi = -fa, -fb, -slope_hi, -slope_lo
+    if slope_hi == slope_lo:
+        return min(fa, fb)
+    t = min(max((fa - fb + slope_hi * width) / (slope_hi - slope_lo), 0.0), width)
+    return fa + slope_lo * t
+
+
+def _solve(coeffs, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of a polynomial in [a, b], given values of opposite sign there.
+
+    Newton steps, falling back to halving the bracket whenever a step would
+    leave it or shrinks too slowly; ends when the bracket has no float left
+    between its ends or a step no longer moves x.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa > 0.0:
+        a, b = b, a  # from here on p(a) < 0 < p(b); a may lie above b
+    x = 0.5 * (a + b)
+    prev_step = abs(b - a)
+    for _ in range(_MAX_SOLVE_STEPS):
+        f, df = _horner(coeffs, x)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            a = x
         else:
-            lo, f_lo = mid, f_mid
-    # phase 2: keep halving while the NPV residual is still large; the
-    # curve can be steep enough near rate -1 that width alone is not enough
-    while True:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        floor = 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0))
-        if f_mid == 0.0 or abs(f_mid) <= residual_tol or (hi - lo) <= floor:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
+            b = x
+        step = f / df if df != 0.0 else math.inf
+        nxt = x - step
+        if nxt == x:
+            return x
+        if not (min(a, b) < nxt < max(a, b)) or abs(step) > 0.5 * prev_step:
+            nxt = 0.5 * (a + b)
+            if nxt in (a, b):
+                return x
+        prev_step = abs(nxt - x)
+        x = nxt
+    return x
 
 
-def irr_all(
-    project: Project,
-    bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS,
-    scan_step: float = SCAN_STEP,
-) -> IrrResult:
-    """Find every IRR in bounds by sign-change scan plus bisection.
+def _chart_roots(coeffs, x_lo: float, x_hi: float, to_rate, unique: bool) -> list[float]:
+    """Roots of the polynomial with these coefficients (highest power first)
+    for x in [x_lo, x_hi], inside (0, 1]; to_rate maps x back to a rate."""
+    pos = [c if c > 0.0 else 0.0 for c in coeffs]
+    neg = [-c if c < 0.0 else 0.0 for c in coeffs]
+    # Horner's rounding error on a sum of nonnegative terms, with a factor 2
+    # to spare: the computed p is within tol * (p+ + p-) of the true value
+    tol = 4.0 * len(coeffs) * _EPS
 
-    The scan walks the rate axis in scan_step increments; each strict sign
-    change is refined to a root within ROOT_TOL. An empty result (the NPV
-    curve never crosses zero in bounds) is a valid outcome, classified
-    'none'.
+    def point(x: float) -> tuple[float, float, float, float, float]:
+        vp, dp = _horner(pos, x)
+        vm, dm = _horner(neg, x)
+        return x, vp, vm, dp, dm
+
+    lo_pt, hi_pt = point(x_lo), point(x_hi)
+    # an end where p is zero within rounding error is a root: the search
+    # bound, or r = 0 where the two charts meet
+    roots = [to_rate(x) for x, vp, vm, _, _ in (lo_pt, hi_pt) if abs(vp - vm) <= tol * (vp + vm)]
+    stack = [(lo_pt, hi_pt)]
+    while stack:
+        (xa, pa, ma, dpa, dma), (xb, pb, mb, dpb, dmb) = node = stack.pop()
+        fa, fb = pa - ma, pb - mb
+        crossing = _straddles_zero(fa, fb)
+        if not unique:
+            # p+ and p- both increase on x > 0, so p over [xa, xb] lies in
+            # [p+(xa) - p-(xb), p+(xb) - p-(xa)], and likewise its slope p'
+            margin = tol * (pb + mb)
+            if pa - mb > margin or pb - ma < -margin:
+                continue  # no root
+            d_margin = tol * (dpb + dmb)
+            slope_lo, slope_hi = dpa - dmb - d_margin, dpb - dma + d_margin
+            if slope_lo <= 0.0 <= slope_hi:  # p may turn inside the node
+                # twice the margin: once for the end values, once for the floor's own rounding
+                if not crossing and _floor(fa, fb, slope_lo, slope_hi, xb - xa) > 2.0 * margin:
+                    continue  # no root
+                if abs(to_rate(xa) - to_rate(xb)) >= ROOT_RESOLUTION:
+                    mid = point(0.5 * (xa + xb))
+                    stack.append((node[0], mid))
+                    stack.append((mid, node[1]))
+                    continue
+                if not crossing:
+                    # a stopped node: a tangent root if p at its extremum
+                    # is zero within its own rounding error
+                    if _straddles_zero(dpa - dma, dpb - dmb):
+                        n = len(coeffs) - 1
+                        slope = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
+                        xe, vp, vm, _, _ = point(_solve(slope, xa, xb, dpa - dma, dpb - dmb))
+                        if abs(vp - vm) <= tol * (vp + vm):
+                            roots.append(to_rate(xe))
+                    continue
+        # here the node holds at most one root
+        if crossing:
+            roots.append(to_rate(_solve(coeffs, xa, xb, fa, fb)))
+    return roots
+
+
+def _sign_changes(flows) -> int:
+    signs = [c > 0.0 for c in flows if c != 0.0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def irr_all(project: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS) -> IrrResult:
+    """Find every IRR in bounds by certified root isolation.
+
+    NPV is a polynomial in w = 1/(1+r), searched on two charts with x in
+    (0, 1]: x = w with coefficients C_t for r >= 0, and x = 1+r with the
+    coefficients reversed for r < 0 (that polynomial is NPV * (1+r)^n, of
+    the same sign as the NPV). No power of x exceeds 1, so nothing
+    overflows near r = -1.
+
+    Flows with at most one Descartes sign change have at most one IRR, so
+    each chart needs only a bracketed solve. Otherwise each chart interval
+    is bisected until every node is settled by enclosures of the NPV and
+    its slope, built from the increasing positive and negative parts of the
+    polynomial: no root, or a monotone stretch with at most one root.
+    Nodes narrower than ROOT_RESOLUTION in rate stop there and hold at most
+    one root: a crossing when their ends differ in sign, else a tangent
+    root where the NPV at the slope's zero is zero within its own rounding
+    error. Roots closer than ROOT_RESOLUTION are reported once; a bound
+    where the NPV is zero within rounding error counts as a root. An empty
+    result is a valid outcome, classified 'none'.
     """
     if not any(c != 0.0 for c in project.cashflows):
         raise ValueError("project has no nonzero cash flows; IRR undefined")
@@ -169,27 +272,23 @@ def irr_all(
         raise ValueError(f"lower bound must exceed -1, got {lo!r}")
     if not hi > lo:
         raise ValueError(f"bounds must be increasing, got {bounds!r}")
-    steps = max(1, int(math.ceil((hi - lo) / scan_step)))
-    grid = np.linspace(lo, hi, steps + 1)
-    vals = _npv_grid(project.cashflows, grid)
+    flows = project.cashflows
+    unique = _sign_changes(flows) <= 1
 
-    residual_tol = NPV_RESIDUAL_REL * project.gross
-
-    def f(rate: float) -> float:
-        return npv(project, rate)
+    found: list[float] = []
+    if lo < 0.0:
+        # x = 1+r: NPV * (1+r)^n = sum C_t x^(n-t), highest power first is C_0
+        found += _chart_roots(flows, 1.0 + lo, 1.0 + min(hi, 0.0), lambda x: x - 1.0, unique)
+    if hi > 0.0:
+        # x = 1/(1+r): NPV = sum C_t x^t, highest power first is C_n
+        found += _chart_roots(
+            flows[::-1], 1.0 / (1.0 + hi), 1.0 / (1.0 + max(lo, 0.0)), lambda x: 1.0 / x - 1.0, unique
+        )
 
     roots: list[float] = []
-    for j in range(len(grid) - 1):
-        if vals[j] == 0.0:
-            roots.append(float(grid[j]))
-        elif vals[j] * vals[j + 1] < 0.0:
-            roots.append(
-                _bisect(f, float(grid[j]), float(grid[j + 1]), float(vals[j]), ROOT_TOL, residual_tol)
-            )
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    roots.sort()
+    for root in sorted(min(max(r, lo), hi) for r in found):
+        if not roots or root - roots[-1] >= ROOT_RESOLUTION:
+            roots.append(root)
     if not roots:
         classification = "none"
     elif len(roots) == 1:
@@ -216,11 +315,10 @@ def npv_slope_class(project: Project) -> str:
     negatives followed by some positives with exactly one sign change.
     Anything else returns 'not_guaranteed'.
     """
-    signs = [c > 0.0 for c in project.cashflows if c != 0.0]
-    if not signs or signs[0]:
-        return "not_guaranteed"
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return "decreasing" if changes == 1 else "not_guaranteed"
+    first = next((c for c in project.cashflows if c != 0.0), 0.0)
+    if first < 0.0 and _sign_changes(project.cashflows) == 1:
+        return "decreasing"
+    return "not_guaranteed"
 
 
 def profitability_test(project: Project, rate: float) -> str:

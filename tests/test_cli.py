@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import propval
 
 from propval import (
     annuity_pv,
@@ -320,3 +326,13 @@ class TestDeterminismAndExitCodes:
         code, out, _ = run("--help")
         assert code == 0
         assert "tvm" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = dict(os.environ)
+    src = str(Path(propval.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, propval.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,59 @@ class TestIrrAll:
     def test_rejects_all_zero_project(self):
         with pytest.raises(ValueError):
             irr_all(Project("z", (0.0, 0.0, 0.0)))
+
+
+def _monthly_loan(principal: float, rate: float, months: int = 360) -> Project:
+    payment = principal * rate / (1.0 - (1.0 + rate) ** -months)
+    return Project("loan", (-principal,) + (payment,) * months)
+
+
+class TestIrrHardCases:
+    def test_roots_closer_than_a_coarse_grid(self):
+        result = irr_all(Project("close", (-1, 2.2005, -1.21055)))
+        assert result.classification == "multiple"
+        assert len(result.roots) == 2
+        assert result.roots[0] == pytest.approx(0.1, abs=1e-6)
+        assert result.roots[1] == pytest.approx(0.1005, abs=1e-6)
+
+    def test_tangent_root_reported_at_most_once(self):
+        roots = irr_all(Project("tangent", (-1, 2.2, -1.21))).roots
+        assert len(roots) <= 1
+        assert all(abs(r - 0.1) <= 1e-6 for r in roots)
+
+    def test_long_loan_gives_its_rate_without_warnings(self):
+        loan = _monthly_loan(250_000.0, 0.06 / 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = irr_all(loan)
+        assert result.classification == "unique"
+        assert result.roots[0] == pytest.approx(0.005, abs=1e-9)
+
+    def test_long_project_with_two_sign_changes(self):
+        # outlay, 359 level inflows, then a balloon outflow
+        balloon = Project("balloon", (-1000.0,) + (30.0,) * 359 + (-12000.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = irr_all(balloon)
+        assert result.classification == "multiple"
+        assert len(result.roots) == 2
+        for root in result.roots:
+            assert abs(npv(balloon, root)) <= 1e-6 * balloon.gross
+            assert npv(balloon, root - 1e-5) * npv(balloon, root + 1e-5) < 0.0
+        assert sign_scan_root_count(balloon.cashflows, -0.2, 0.2) == 2
+
+    @pytest.mark.parametrize("bounds", [(0.12, 1.0), (-0.5, 0.12)])
+    def test_root_on_a_bound_is_found(self, project_c, bounds):
+        result = irr_all(project_c, bounds=bounds)
+        assert result.classification == "unique"
+        assert result.roots[0] == pytest.approx(0.12, abs=1e-12)
+        assert bounds[0] <= result.roots[0] <= bounds[1]
+
+    @pytest.mark.parametrize("bounds", [(0.25, 2.0), (-0.9, 0.15)])
+    def test_one_sign_change_with_root_outside_bounds(self, project_a, bounds):
+        result = irr_all(project_a, bounds=bounds)
+        assert result.classification == "none"
+        assert result.roots == ()
 
 
 class TestNegate:
