@@ -1,0 +1,65 @@
+"""Golden outputs: the exact stdout and exit code of every subcommand.
+
+Each case runs in table, csv and json format and is compared byte for
+byte with tests/golden/<case>.<format>.txt, whose first line holds the
+exit code. To rewrite the files after an intended output change, run
+this file as a script: PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from propval.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("table", "csv", "json")
+A, B, D = (str(GOLDEN / f"{name}.json") for name in "ABD")
+
+CASES = {
+    "tvm-annuity": ["tvm", "annuity", "--rate", "0.10", "--n", "5"],
+    "tvm-bal": ["tvm", "bal", "--rate", "0.01", "--n", "360", "--k", "120"],
+    "amort-level": ["amort", "level", "--pv", "1000", "--i", "0.10", "--n", "5"],
+    "amort-general": ["amort", "general", "--file", str(GOLDEN / "reductions.json"), "--i", "0.10"],
+    "amort-sinking": ["amort", "sinking", "--v", "1000", "--i", "0.10", "--r", "0.05", "--n", "5"],
+    "caprate-band": ["caprate", "band", "--m", "0.7", "--i", "0.08", "--y", "0.12"],
+    "caprate-ellwood": [
+        "caprate", "ellwood", "--m", "0.7", "--i", "0.09", "--months", "300",
+        "--hold", "10", "--y", "0.14", "--delta0", "0.1",
+    ],
+    "caprate-ellwood-j": [
+        "caprate", "ellwood-j", "--m", "0.7", "--i", "0.09", "--months", "300",
+        "--hold", "10", "--y", "0.14", "--delta0", "0.1", "--delta", "0.2",
+    ],
+    "value-growth": ["value", "growth", "--g", "0.05", "--i", "0.10", "--n", "10"],
+    "value-straight-line": ["value", "straight-line", "--d", "100", "--h", "10", "--i", "0.10", "--n", "4"],
+    "irr-single": ["irr", A, "--npv-at", "0.10,0.12"],
+    "irr-multiple": ["irr", D],
+    "irr-compare": ["irr", A, B, "--compare"],
+    "irr-compare-degenerate": ["irr", A, A, "--compare"],
+}
+
+
+def invoke(argv: list[str]) -> str:
+    """Exit-code line plus stdout, as stored in a golden file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, fmt):
+    expected = (GOLDEN / f"{case}.{fmt}.txt").read_text(encoding="utf-8")
+    assert invoke(CASES[case] + ["--format", fmt]) == expected
+
+
+if __name__ == "__main__":
+    for case, argv in sorted(CASES.items()):
+        for fmt in FORMATS:
+            (GOLDEN / f"{case}.{fmt}.txt").write_text(invoke(argv + ["--format", fmt]), encoding="utf-8")
