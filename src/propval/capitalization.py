@@ -11,7 +11,7 @@ income-change variant dividing by 1 + delta*J).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .recurrence import ellwood_j_factor
 from .timevalue import (
@@ -229,16 +229,8 @@ def ellwood_j_cap_rate(
     denom = 1.0 + delta * j
     if denom == 0.0:
         raise ValueError("income change cancels the J adjustment; rate undefined")
-    return EllwoodRate(
-        rate=base.rate / denom,
-        c_factor=base.c_factor,
-        mortgage_constant=base.mortgage_constant,
-        portion_paid=base.portion_paid,
-        balance_fraction=base.balance_fraction,
-        equity_sff=base.equity_sff,
-        akerson_rate=base.akerson_rate / denom,
-        j_factor=j,
-        income_change=delta,
+    return replace(
+        base, rate=base.rate / denom, akerson_rate=base.akerson_rate / denom, j_factor=j, income_change=delta
     )
 
 

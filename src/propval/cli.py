@@ -1,9 +1,10 @@
 """Command-line front end. Thin dispatch only; all math lives in the library.
 
 Subcommands: tvm, amort, caprate, value, irr. Every subcommand accepts
---format {table,csv,json} and --precision N. Rates are decimal fractions
-(0.10, never 10). Exit codes: 0 success, 1 usage or parameter error,
-2 unreadable or malformed input file.
+--format {table,csv,json} and --precision N (irr ignores the latter).
+Rates are decimal fractions (0.10, never 10). Exit codes: 0 success,
+1 usage or parameter error (a non-finite number in argv, or a result out
+of floating-point range, included), 2 unreadable or malformed input file.
 
 Output conventions: table format prints bare scalars (or name/value lines
 when a result has a breakdown) and renders IRRs as percentages; csv prints
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +28,22 @@ __all__ = ["main", "run", "build_parser"]
 
 class InputFileError(Exception):
     """A named input file is missing, unreadable, or malformed."""
+
+
+def _finite(text: str) -> float:
+    """argparse type for every float option: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> tuple[float, ...]:
+    """argparse type for a comma-separated list of finite numbers."""
+    return tuple(_finite(part) for part in text.split(",") if part.strip() != "")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +76,8 @@ def _precision_for(cfg: CliConfig, kind: str) -> int:
 
 def _emit_values(cfg: CliConfig, items: list[tuple[str, float, str]]) -> None:
     """Print named scalars: bare in table format when there is only one."""
+    if not all(math.isfinite(value) for _, value, _ in items):
+        raise OverflowError("a result is not a finite number")
     if cfg.output_format == "json":
         payload: dict = {"schema": 1}
         payload.update({name: value for name, value, _ in items})
@@ -230,78 +250,29 @@ def _cmd_value(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
-def _parse_rates(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"invalid rate list {text!r}: {exc}") from exc
-
-
-def _irr_csv_rows(
-    entries: list[tuple[projects.Project, projects.IrrResult]],
-    npv_rates: tuple[float, ...],
-) -> list[str]:
-    horizon = max(len(p.cashflows) for p, _ in entries)
-    header = ["project"] + [f"c{t}" for t in range(horizon)] + ["irr", "classification"]
-    header += [f"npv@{r:g}" for r in npv_rates]
-    lines = [",".join(header)]
-    for project, result in entries:
-        flows = project.cashflows + (0.0,) * (horizon - len(project.cashflows))
-        irr_text = ";".join(format_fixed(r * 100.0, 2) for r in result.roots)
-        cells = [project.name] + [format_fixed(c, 2) for c in flows]
-        cells += [irr_text, result.classification]
-        cells += [format_fixed(projects.npv(project, r), 2) for r in npv_rates]
-        lines.append(",".join(cells))
-    return lines
-
-
 def _cmd_irr(args: argparse.Namespace, cfg: CliConfig) -> int:
-    npv_rates = _parse_rates(args.npv_at) if args.npv_at else ()
-    bounds = projects.DEFAULT_IRR_BOUNDS
-    if args.bounds:
-        parts = _parse_rates(args.bounds)
-        if len(parts) != 2:
-            raise ValueError("--bounds takes two comma-separated rates")
-        bounds = (parts[0], parts[1])
-
-    if args.compare:
-        if len(args.files) != 2:
-            raise ValueError("--compare needs exactly two project files")
-        first, second = (_load_project_file(path) for path in args.files)
-        report = projects.compare_pairwise(first, second)
-        rates = npv_rates or (0.10, 0.12)
-        if cfg.output_format == "json":
-            print(json.dumps(projects.comparison_to_dict(report, rates)))
-        elif cfg.output_format == "csv":
-            entries = [
-                (report.first, projects.irr_all(report.first, bounds)),
-                (report.second, projects.irr_all(report.second, bounds)),
-            ]
-            if any(c != 0.0 for c in report.difference_project.cashflows):
-                entries.append(
-                    (report.difference_project, projects.irr_all(report.difference_project, bounds))
-                )
-            lines = _irr_csv_rows(entries, rates)
-            cutoff = "" if report.cutoff_rate is None else format_fixed(report.cutoff_rate * 100.0, 2)
-            lines.append(f"cutoff_rate,{cutoff}")
-            lines.append(f"preferred_below,{report.preferred_below or ''}")
-            lines.append(f"preferred_above,{report.preferred_above or ''}")
-            lines.append(f"orientation_valid,{str(report.orientation_valid).lower()}")
-            print("\n".join(lines))
-        else:
-            sys.stdout.write(projects.comparison_table(report, rates))
-        return 0
-
-    if len(args.files) != 1:
+    npv_rates = args.npv_at or ()
+    bounds = args.bounds or projects.DEFAULT_IRR_BOUNDS
+    if len(bounds) != 2:
+        raise ValueError("--bounds takes two comma-separated rates")
+    if args.compare and len(args.files) != 2:
+        raise ValueError("--compare needs exactly two project files")
+    if not args.compare and len(args.files) != 1:
         raise ValueError("analyze one project file, or pass two with --compare")
-    project = _load_project_file(args.files[0])
-    result = projects.irr_all(project, bounds)
-    if cfg.output_format == "json":
-        print(json.dumps(projects.analysis_to_dict(project, result, npv_rates)))
-    elif cfg.output_format == "csv":
-        print("\n".join(_irr_csv_rows([(project, result)], npv_rates)))
+
+    loaded = [_load_project_file(path) for path in args.files]
+    if args.compare:
+        result = (projects.compare_pairwise(*loaded, bounds),)
+        npv_rates = npv_rates or (0.10, 0.12)
+        table, csv, to_dict = projects.comparison_table, projects.comparison_csv, projects.comparison_to_dict
     else:
-        sys.stdout.write(projects.analysis_table(project, result, npv_rates))
+        result = (loaded[0], projects.irr_all(loaded[0], bounds))
+        table, csv, to_dict = projects.analysis_table, projects.analysis_csv, projects.analysis_to_dict
+
+    if cfg.output_format == "json":
+        print(json.dumps(to_dict(*result, npv_rates)))
+    else:
+        sys.stdout.write((csv if cfg.output_format == "csv" else table)(*result, npv_rates))
     return 0
 
 
@@ -337,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "function",
         choices=("compound", "reversion", "annuity", "amortize", "accumulate", "sff", "bal", "pp"),
     )
-    tvm.add_argument("--rate", type=float, required=True, help="rate per period, decimal fraction")
+    tvm.add_argument("--rate", type=_finite, required=True, help="rate per period, decimal fraction")
     tvm.add_argument("--n", type=int, required=True, help="number of periods")
     tvm.add_argument("--k", type=int, default=None, help="elapsed payments (bal and pp only)")
     tvm.set_defaults(handler=_cmd_tvm)
@@ -345,16 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     amort = sub.add_parser("amort", help="amortization schedules")
     amort_sub = amort.add_subparsers(dest="kind", required=True, parser_class=_Parser)
     level = amort_sub.add_parser("level", parents=[common], help="equal payments")
-    level.add_argument("--pv", type=float, required=True, help="loan principal")
-    level.add_argument("--i", type=float, required=True, help="rate per period")
+    level.add_argument("--pv", type=_finite, required=True, help="loan principal")
+    level.add_argument("--i", type=_finite, required=True, help="rate per period")
     level.add_argument("--n", type=int, required=True, help="number of periods")
     general = amort_sub.add_parser("general", parents=[common], help="given principal reductions")
     general.add_argument("--file", required=True, help="JSON file with the principal reductions")
-    general.add_argument("--i", type=float, required=True, help="rate per period")
+    general.add_argument("--i", type=_finite, required=True, help="rate per period")
     sinking = amort_sub.add_parser("sinking", parents=[common], help="sinking-fund capital recovery")
-    sinking.add_argument("--v", type=float, required=True, help="capital to recover")
-    sinking.add_argument("--i", type=float, required=True, help="discount rate per period")
-    sinking.add_argument("--r", type=float, required=True, help="sinking fund rate per period")
+    sinking.add_argument("--v", type=_finite, required=True, help="capital to recover")
+    sinking.add_argument("--i", type=_finite, required=True, help="discount rate per period")
+    sinking.add_argument("--r", type=_finite, required=True, help="sinking fund rate per period")
     sinking.add_argument("--n", type=int, required=True, help="number of periods")
     amort.set_defaults(handler=_cmd_amort)
     for p in (level, general, sinking):
@@ -363,40 +334,40 @@ def build_parser() -> argparse.ArgumentParser:
     caprate = sub.add_parser("caprate", help="direct capitalization rates")
     cap_sub = caprate.add_subparsers(dest="method", required=True, parser_class=_Parser)
     band = cap_sub.add_parser("band", parents=[common], help="band of investment, interest-only debt")
-    band.add_argument("--m", type=float, required=True, help="loan-to-value fraction")
-    band.add_argument("--i", type=float, required=True, help="mortgage interest rate")
-    band.add_argument("--y", type=float, required=True, help="equity yield rate")
+    band.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
+    band.add_argument("--i", type=_finite, required=True, help="mortgage interest rate")
+    band.add_argument("--y", type=_finite, required=True, help="equity yield rate")
     band_rm = cap_sub.add_parser("band-rm", parents=[common], help="band of investment, amortizing debt")
-    band_rm.add_argument("--m", type=float, required=True, help="loan-to-value fraction")
-    band_rm.add_argument("--rm", type=float, required=True, help="annual mortgage constant")
-    band_rm.add_argument("--y", type=float, required=True, help="equity yield rate")
+    band_rm.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
+    band_rm.add_argument("--rm", type=_finite, required=True, help="annual mortgage constant")
+    band_rm.add_argument("--y", type=_finite, required=True, help="equity yield rate")
     mc = cap_sub.add_parser("mortgage-constant", parents=[common], help="annual debt service per unit loan")
-    mc.add_argument("--i", type=float, required=True, help="annual note rate")
+    mc.add_argument("--i", type=_finite, required=True, help="annual note rate")
     mc.add_argument("--months", type=int, required=True, help="amortization term in months")
     adjusted = cap_sub.add_parser("adjusted", parents=[common], help="level income with value change")
-    adjusted.add_argument("--i", type=float, required=True, help="discount rate")
+    adjusted.add_argument("--i", type=_finite, required=True, help="discount rate")
     adjusted.add_argument("--n", type=int, required=True, help="horizon in periods")
-    adjusted.add_argument("--delta0", type=float, required=True, help="relative value change")
+    adjusted.add_argument("--delta0", type=_finite, required=True, help="relative value change")
     ellwood = cap_sub.add_parser("ellwood", parents=[common], help="mortgage-equity rate, constant income")
     ellwood_j = cap_sub.add_parser("ellwood-j", parents=[common], help="mortgage-equity rate, changing income")
     for p in (ellwood, ellwood_j):
-        p.add_argument("--m", type=float, required=True, help="loan-to-value fraction")
-        p.add_argument("--i", type=float, required=True, help="annual note rate")
+        p.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
+        p.add_argument("--i", type=_finite, required=True, help="annual note rate")
         p.add_argument("--months", type=int, required=True, help="amortization term in months")
         p.add_argument("--hold", type=int, required=True, help="holding period in years")
-        p.add_argument("--y", type=float, required=True, help="equity yield rate")
-        p.add_argument("--delta0", type=float, default=0.0, help="relative value change over the hold")
-    ellwood_j.add_argument("--delta", type=float, required=True, help="relative income change over the hold")
+        p.add_argument("--y", type=_finite, required=True, help="equity yield rate")
+        p.add_argument("--delta0", type=_finite, default=0.0, help="relative value change over the hold")
+    ellwood_j.add_argument("--delta", type=_finite, required=True, help="relative income change over the hold")
     ellwood_j.add_argument("--jn", type=int, default=None, help="horizon for the J factor (default: holding years)")
     ring = cap_sub.add_parser("ring", parents=[common], help="straight-line recovery rate")
-    ring.add_argument("--i", type=float, required=True, help="discount rate")
+    ring.add_argument("--i", type=_finite, required=True, help="discount rate")
     ring.add_argument("--n", type=int, required=True, help="recovery horizon")
     hoskold = cap_sub.add_parser("hoskold", parents=[common], help="safe-rate recovery rate")
-    hoskold.add_argument("--i", type=float, required=True, help="discount rate")
-    hoskold.add_argument("--is", dest="is_rate", type=float, required=True, help="safe sinking fund rate")
+    hoskold.add_argument("--i", type=_finite, required=True, help="discount rate")
+    hoskold.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
     hoskold.add_argument("--n", type=int, required=True, help="recovery horizon")
     annuity = cap_sub.add_parser("annuity", parents=[common], help="full-rate recovery: 1/a(n,i)")
-    annuity.add_argument("--i", type=float, required=True, help="discount rate")
+    annuity.add_argument("--i", type=_finite, required=True, help="discount rate")
     annuity.add_argument("--n", type=int, required=True, help="recovery horizon")
     for p in (band, band_rm, mc, adjusted, ellwood, ellwood_j, ring, hoskold, annuity):
         p.set_defaults(handler=_cmd_caprate)
@@ -405,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     value_sub = value.add_subparsers(dest="form", required=True, parser_class=_Parser)
     rec = value_sub.add_parser("recurrence", parents=[common], help="stream y_k = m*y_(k-1) + b from seed c")
     for flag, hint in (("--m", "multiplier"), ("--b", "increment"), ("--c", "seed value y_0")):
-        rec.add_argument(flag, type=float, required=True, help=hint)
+        rec.add_argument(flag, type=_finite, required=True, help=hint)
     offset = value_sub.add_parser("offset", parents=[common], help="stream d, d - y_1*h, d - y_2*h, ...")
     for flag, hint in (
         ("--d", "first-period income"),
@@ -414,26 +385,32 @@ def build_parser() -> argparse.ArgumentParser:
         ("--b", "increment"),
         ("--c", "seed value y_0"),
     ):
-        offset.add_argument(flag, type=float, required=True, help=hint)
+        offset.add_argument(flag, type=_finite, required=True, help=hint)
     straight = value_sub.add_parser("straight-line", parents=[common], help="stream d, d-h, d-2h, ...")
-    straight.add_argument("--d", type=float, required=True, help="first-period income")
-    straight.add_argument("--h", type=float, required=True, help="constant decline per period (negative rises)")
+    straight.add_argument("--d", type=_finite, required=True, help="first-period income")
+    straight.add_argument("--h", type=_finite, required=True, help="constant decline per period (negative rises)")
     growth = value_sub.add_parser("growth", parents=[common], help="stream starting at 1 growing at ratio g")
-    growth.add_argument("--g", type=float, required=True, help="growth rate per period")
+    growth.add_argument("--g", type=_finite, required=True, help="growth rate per period")
     accum = value_sub.add_parser("accumulation", parents=[common], help="stream of accumulation factors s_1..s_n")
     hosk = value_sub.add_parser("hoskold", parents=[common], help="safe-rate declining stream value")
-    hosk.add_argument("--income", type=float, required=True, help="first-year income")
-    hosk.add_argument("--is", dest="is_rate", type=float, required=True, help="safe sinking fund rate")
+    hosk.add_argument("--income", type=_finite, required=True, help="first-year income")
+    hosk.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
     for p in (rec, offset, straight, growth, accum, hosk):
-        p.add_argument("--i", type=float, required=True, help="discount rate per period")
+        p.add_argument("--i", type=_finite, required=True, help="discount rate per period")
         p.add_argument("--n", type=int, required=True, help="number of periods")
         p.set_defaults(handler=_cmd_value)
 
     irr = sub.add_parser("irr", parents=[common], help="NPV / IRR project analysis")
     irr.add_argument("files", nargs="+", help="project JSON file(s): {\"name\": ..., \"cashflows\": [...]}")
     irr.add_argument("--compare", action="store_true", help="pairwise comparison of two projects")
-    irr.add_argument("--npv-at", default=None, metavar="R1,R2,...", help="rates at which to report NPV")
-    irr.add_argument("--bounds", default=None, metavar="LO,HI", help="IRR search interval (default -0.999,10)")
+    irr.add_argument("--npv-at", type=_finite_list, default=None, metavar="R1,R2,...", help="rates at which to report NPV")
+    irr.add_argument(
+        "--bounds",
+        type=_finite_list,
+        default=None,
+        metavar="LO,HI",
+        help="search interval for every IRR and the --compare cutoff (default -0.999,10)",
+    )
     irr.set_defaults(handler=_cmd_irr)
 
     return parser
@@ -453,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"propval: error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        print("propval: error: a result is out of floating-point range", file=sys.stderr)
         return 1
 
 

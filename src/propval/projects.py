@@ -20,11 +20,13 @@ guaranteed to slope downward.
 Pairwise choice works through the difference project: subtract the two
 cash-flow vectors in the orientation whose NPV slopes downward, and its
 unique IRR is the cutoff rate below which the later-paying project wins.
+The comparison report carries the IRRs of both projects and of the
+difference, all searched in the same bounds, so the table, CSV and JSON
+renderers below only format what compare_pairwise found.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,13 +43,13 @@ __all__ = [
     "npv_slope_class",
     "profitability_test",
     "compare_pairwise",
-    "load_project",
     "project_from_dict",
-    "project_to_dict",
     "analysis_to_dict",
     "analysis_table",
+    "analysis_csv",
     "comparison_to_dict",
     "comparison_table",
+    "comparison_csv",
 ]
 
 DEFAULT_IRR_BOUNDS = (-0.999, 10.0)
@@ -97,12 +99,18 @@ class ComparisonReport:
     one exists in bounds. preferred_below names the better project for
     discount rates under the cutoff. orientation_valid is False when
     neither subtraction order has a guaranteed-decreasing NPV, and
-    degenerate marks identical inputs.
+    degenerate marks identical inputs. first_irr, second_irr and
+    difference_irr are the IRR searches behind the report, all in the same
+    bounds; difference_irr is None for identical inputs, whose difference
+    has no nonzero flow.
     """
 
     first: Project
     second: Project
     difference_project: Project
+    first_irr: IrrResult
+    second_irr: IrrResult
+    difference_irr: IrrResult | None
     cutoff_rate: float | None
     preferred_below: str | None
     preferred_above: str | None
@@ -342,61 +350,46 @@ def _padded(p: Project, length: int) -> tuple[float, ...]:
     return p.cashflows + (0.0,) * (length - len(p.cashflows))
 
 
-def compare_pairwise(p1: Project, p2: Project) -> ComparisonReport:
+def compare_pairwise(
+    p1: Project, p2: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS
+) -> ComparisonReport:
     """Choose between two projects via the IRR of their difference.
 
     Both subtraction orders are formed (shorter project zero-padded); the
     one with a guaranteed-decreasing NPV is kept, putting the later-paying
-    project first. Its unique IRR is the cutoff: the later payer is
-    preferred at discount rates below it, the other project above it.
+    project first. Its unique IRR in bounds is the cutoff: the later payer
+    is preferred at discount rates below it, the other project above it.
+    Every IRR in the report is searched once, in bounds.
     """
+    first_irr, second_irr = irr_all(p1, bounds), irr_all(p2, bounds)
     length = max(len(p1.cashflows), len(p2.cashflows))
-    flows1, flows2 = _padded(p1, length), _padded(p2, length)
-    diff12 = tuple(a - b for a, b in zip(flows1, flows2))
-    if all(c == 0.0 for c in diff12):
-        zero = Project(f"{p1.name}-{p2.name}", diff12)
-        return ComparisonReport(
-            first=p1,
-            second=p2,
-            difference_project=zero,
-            cutoff_rate=None,
-            preferred_below=None,
-            preferred_above=None,
-            orientation_valid=False,
-            degenerate=True,
-        )
-
+    diff12 = tuple(a - b for a, b in zip(_padded(p1, length), _padded(p2, length)))
     proj12 = Project(f"{p1.name}-{p2.name}", diff12)
     proj21 = Project(f"{p2.name}-{p1.name}", tuple(-c for c in diff12))
     if npv_slope_class(proj12) == "decreasing":
         difference, later, earlier = proj12, p1, p2
     elif npv_slope_class(proj21) == "decreasing":
         difference, later, earlier = proj21, p2, p1
-    else:
-        return ComparisonReport(
-            first=p1,
-            second=p2,
-            difference_project=proj12,
-            cutoff_rate=None,
-            preferred_below=None,
-            preferred_above=None,
-            orientation_valid=False,
-        )
-
-    result = irr_all(difference)
-    if result.classification == "unique":
-        cutoff = result.roots[0]
-        below, above = later.name, earlier.name
+    else:  # identical projects land here too, with an all-zero difference
+        difference, later, earlier = proj12, None, None
+    degenerate = all(c == 0.0 for c in diff12)
+    result = None if degenerate else irr_all(difference, bounds)
+    if later is not None and result.classification == "unique":
+        cutoff, below, above = result.roots[0], later.name, earlier.name
     else:
         cutoff, below, above = None, None, None
     return ComparisonReport(
         first=p1,
         second=p2,
         difference_project=difference,
+        first_irr=first_irr,
+        second_irr=second_irr,
+        difference_irr=result,
         cutoff_rate=cutoff,
         preferred_below=below,
         preferred_above=above,
-        orientation_valid=True,
+        orientation_valid=later is not None,
+        degenerate=degenerate,
     )
 
 
@@ -422,17 +415,6 @@ def project_from_dict(data: dict, fallback_name: str = "project") -> Project:
     return project
 
 
-def load_project(path: str) -> Project:
-    """Read a project from a UTF-8 JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return project_from_dict(data, fallback_name=path)
-
-
-def project_to_dict(project: Project) -> dict:
-    return {"name": project.name, "cashflows": list(project.cashflows)}
-
-
 def analysis_to_dict(
     project: Project, result: IrrResult, npv_rates: tuple[float, ...] = ()
 ) -> dict:
@@ -450,58 +432,75 @@ def analysis_to_dict(
     }
 
 
-def _irr_cell(result: IrrResult) -> str:
-    if not result.roots:
-        return "none"
-    return ", ".join(format_percent(r) for r in result.roots)
-
-
-def _project_rows(
-    entries: list[tuple[Project, IrrResult]], npv_rates: tuple[float, ...]
-) -> list[list[str]]:
+def _project_rows(entries, npv_rates, labels, irr_cells) -> list[list[str]]:
+    """A label row, then for each (project, IrrResult): the name, the flows
+    zero-padded to the longest project, irr_cells(result), and the NPV at
+    each rate. labels holds the project label, the period-t flow label
+    template, the IRR labels and the NPV label of a rate."""
+    project_label, flow_label, irr_labels, npv_label = labels
     horizon = max(len(p.cashflows) for p, _ in entries)
-    header = ["Project"] + [f"C{t}" for t in range(horizon)] + ["IRR"]
-    header += [f"NPV @ {format_percent(r)}" for r in npv_rates]
-    rows = [header]
+    header = [project_label] + [flow_label.format(t) for t in range(horizon)] + irr_labels
+    rows = [header + [npv_label(r) for r in npv_rates]]
     for project, result in entries:
-        flows = project.cashflows + (0.0,) * (horizon - len(project.cashflows))
-        row = [project.name] + [format_fixed(c, 2) for c in flows] + [_irr_cell(result)]
-        row += [format_fixed(npv(project, r), 2) for r in npv_rates]
-        rows.append(row)
+        row = [project.name] + [format_fixed(c, 2) for c in _padded(project, horizon)] + irr_cells(result)
+        rows.append(row + [format_fixed(npv(project, r), 2) for r in npv_rates])
     return rows
+
+
+def _table_irr_cells(result: IrrResult) -> list[str]:
+    return [", ".join(format_percent(r) for r in result.roots) or "none"]
+
+
+def _csv_irr_cells(result: IrrResult) -> list[str]:
+    return [";".join(format_fixed(r * 100.0, 2) for r in result.roots), result.classification]
+
+
+def _table_text(entries, npv_rates) -> str:
+    labels = ("Project", "C{}", ["IRR"], lambda r: f"NPV @ {format_percent(r)}")
+    return align_table(_project_rows(entries, npv_rates, labels, _table_irr_cells))
+
+
+def _csv_lines(entries, npv_rates) -> list[str]:
+    labels = ("project", "c{}", ["irr", "classification"], "npv@{:g}".format)
+    return [",".join(row) for row in _project_rows(entries, npv_rates, labels, _csv_irr_cells)]
 
 
 def analysis_table(
     project: Project, result: IrrResult, npv_rates: tuple[float, ...] = ()
 ) -> str:
     """Aligned one-project table with IRR and requested NPV columns."""
-    text = align_table(_project_rows([(project, result)], npv_rates))
+    text = _table_text([(project, result)], npv_rates)
     return text + f"classification: {result.classification}\n"
+
+
+def analysis_csv(
+    project: Project, result: IrrResult, npv_rates: tuple[float, ...] = ()
+) -> str:
+    """One-project CSV: IRRs in percent joined by ';', then the classification."""
+    return "\n".join(_csv_lines([(project, result)], npv_rates)) + "\n"
+
+
+def _comparison_entries(report: ComparisonReport) -> list[tuple[Project, IrrResult]]:
+    entries = [(report.first, report.first_irr), (report.second, report.second_irr)]
+    if report.difference_irr is not None:
+        entries.append((report.difference_project, report.difference_irr))
+    return entries
 
 
 def comparison_to_dict(
     report: ComparisonReport, npv_rates: tuple[float, ...] = ()
 ) -> dict:
     """Raw-double comparison record including both projects and the difference."""
-    def entry(project: Project) -> dict:
-        return analysis_to_dict(project, irr_all(project), npv_rates)
-
-    difference = report.difference_project
-    diff_entry = (
-        entry(difference)
-        if any(c != 0.0 for c in difference.cashflows)
-        else {
-            "schema": 1,
-            "name": difference.name,
-            "cashflows": list(difference.cashflows),
-            "irr": None,
-            "npv": {},
-        }
-    )
+    records = [analysis_to_dict(p, result, npv_rates) for p, result in _comparison_entries(report)]
+    if report.difference_irr is None:
+        difference = report.difference_project
+        records.append(
+            {"schema": 1, "name": difference.name, "cashflows": list(difference.cashflows), "irr": None, "npv": {}}
+        )
     return {
         "schema": 1,
-        "projects": [entry(report.first), entry(report.second)],
-        "difference": diff_entry,
+        "projects": records[:2],
+        "difference": records[2],
         "cutoff_rate": report.cutoff_rate,
         "preferred_below": report.preferred_below,
         "preferred_above": report.preferred_above,
@@ -514,13 +513,7 @@ def comparison_table(
     report: ComparisonReport, npv_rates: tuple[float, ...] = (0.10, 0.12)
 ) -> str:
     """Aligned table of both projects plus the difference, then the verdict."""
-    entries = [
-        (report.first, irr_all(report.first)),
-        (report.second, irr_all(report.second)),
-    ]
-    if any(c != 0.0 for c in report.difference_project.cashflows):
-        entries.append((report.difference_project, irr_all(report.difference_project)))
-    text = align_table(_project_rows(entries, npv_rates))
+    text = _table_text(_comparison_entries(report), npv_rates)
     if report.degenerate:
         return text + "degenerate: projects are identical\n"
     if not report.orientation_valid:
@@ -532,3 +525,17 @@ def comparison_table(
         f"preferred below cutoff: {report.preferred_below}\n"
         f"preferred above cutoff: {report.preferred_above}\n"
     )
+
+
+def comparison_csv(
+    report: ComparisonReport, npv_rates: tuple[float, ...] = (0.10, 0.12)
+) -> str:
+    """CSV of both projects plus the difference, then the verdict as name,value rows."""
+    cutoff = "" if report.cutoff_rate is None else format_fixed(report.cutoff_rate * 100.0, 2)
+    lines = _csv_lines(_comparison_entries(report), npv_rates) + [
+        f"cutoff_rate,{cutoff}",
+        f"preferred_below,{report.preferred_below or ''}",
+        f"preferred_above,{report.preferred_above or ''}",
+        f"orientation_valid,{str(report.orientation_valid).lower()}",
+    ]
+    return "\n".join(lines) + "\n"

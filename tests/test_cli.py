@@ -28,6 +28,7 @@ from propval import (
     MortgageTerms,
 )
 from propval.cli import main
+from propval.render import format_fixed, format_percent
 
 
 @pytest.fixture
@@ -310,6 +311,53 @@ class TestIrrCommand:
     def test_two_files_need_compare(self, run, project_files):
         code, _, err = run("irr", project_files["A"], project_files["B"])
         assert code == 1
+
+
+    def test_compare_bounds_apply_to_every_format(self, run, project_files):
+        argv = ("irr", project_files["A"], project_files["B"], "--compare", "--bounds=0.15,0.5")
+        outputs = {}
+        for fmt in ("table", "csv", "json"):
+            code, outputs[fmt], err = run(*argv, "--format", fmt)
+            assert (code, err) == (0, "")
+        data = json.loads(outputs["json"])
+        entries = data["projects"] + [data["difference"]]
+        assert [entry["irr"]["search_bounds"] for entry in entries] == [[0.15, 0.5]] * 3
+        assert data["difference"]["name"] == "A-B"
+        assert data["difference"]["irr"]["roots"] == []
+        assert data["cutoff_rate"] is None
+        csv_rows = {line.split(",")[0]: line.split(",") for line in outputs["csv"].splitlines()}
+        assert csv_rows["cutoff_rate"] == ["cutoff_rate", ""]
+        assert csv_rows["A-B"][5:7] == ["", "none"]
+        assert outputs["table"].endswith("no cutoff\n")
+        table_rows = {line.split()[0]: line.split() for line in outputs["table"].splitlines()}
+        for entry in entries:
+            roots = entry["irr"]["roots"]
+            assert csv_rows[entry["name"]][5] == ";".join(format_fixed(r * 100.0, 2) for r in roots)
+            assert table_rows[entry["name"]][5] == (", ".join(format_percent(r) for r in roots) or "none")
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tvm", "compound", "--rate", "10", "--n", "100000"], "floating-point range"),
+            (["value", "growth", "--g", "10", "--i", "0.1", "--n", "100000"], "floating-point range"),
+            (["amort", "sinking", "--v", "1000", "--i", "0.1", "--r", "50", "--n", "400"], "floating-point range"),
+            (
+                ["value", "straight-line", "--d", "1e308", "--h=-1e308", "--i", "0.1", "--n", "5", "--format", "json"],
+                "floating-point range",
+            ),
+            (["caprate", "band", "--m", "0.7", "--i", "nan", "--y", "0.12"], "finite number"),
+            (["irr", "A", "--npv-at", "0.1,inf"], "finite number"),
+            (["irr", "A", "--bounds=0.1,inf"], "finite number"),
+        ],
+        ids=["tvm-overflow", "value-overflow", "amort-overflow", "infinite-result", "nan-option", "npv-at-inf", "bounds-inf"],
+    )
+    def test_clean_error_exit_1(self, run, project_files, argv, message):
+        code, out, err = run(*(project_files.get(arg, arg) for arg in argv))
+        assert (code, out) == (1, "")
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
 
 
 class TestDeterminismAndExitCodes:

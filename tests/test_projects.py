@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -7,10 +6,10 @@ import pytest
 from propval import (
     Project,
     compare_pairwise,
+    comparison_csv,
     comparison_table,
     comparison_to_dict,
     irr_all,
-    load_project,
     negate,
     npv,
     npv_slope_class,
@@ -251,6 +250,31 @@ class TestComparePairwise:
         assert report.cutoff_rate is None
         assert all(c == 0.0 for c in report.difference_project.cashflows)
 
+    def test_cutoff_outside_bounds_is_none(self, project_a, project_b):
+        # the A-B difference has its IRR at 10.73%, below these bounds
+        report = compare_pairwise(project_a, project_b, (0.15, 0.5))
+        assert report.orientation_valid
+        assert report.cutoff_rate is None
+        assert report.preferred_below is report.preferred_above is None
+        assert report.difference_irr.classification == "none"
+        irrs = (report.first_irr, report.second_irr, report.difference_irr)
+        assert all(result.search_bounds == (0.15, 0.5) for result in irrs)
+        assert report.first_irr == irr_all(project_a, (0.15, 0.5))
+
+    def test_renderers_reuse_the_report_irrs(self, project_a, project_b, monkeypatch):
+        import propval.projects
+
+        reports = [compare_pairwise(project_a, project_b), compare_pairwise(project_a, project_a)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a renderer searched for an IRR again")
+
+        monkeypatch.setattr(propval.projects, "irr_all", forbidden)
+        for report in reports:
+            comparison_table(report)
+            comparison_csv(report)
+            comparison_to_dict(report)
+
     def test_unorientable_pair(self):
         p1 = Project("p1", (-100, 300, -100, 50))
         p2 = Project("p2", (-100, 50, 160, 40))
@@ -270,11 +294,6 @@ class TestComparePairwise:
 
 
 class TestIngestionAndReports:
-    def test_load_project(self, tmp_path, project_a):
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps({"name": "A", "cashflows": [-1000, 200, 200, 1200]}))
-        assert load_project(str(path)) == project_a
-
     def test_from_dict_validations(self):
         with pytest.raises(ValueError):
             project_from_dict({"name": "x", "cashflows": [1.0]})
