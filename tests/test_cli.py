@@ -312,7 +312,6 @@ class TestIrrCommand:
         code, _, err = run("irr", project_files["A"], project_files["B"])
         assert code == 1
 
-
     def test_compare_bounds_apply_to_every_format(self, run, project_files):
         argv = ("irr", project_files["A"], project_files["B"], "--compare", "--bounds=0.15,0.5")
         outputs = {}

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from propval import projects
 from propval import (
     Project,
     compare_pairwise,
@@ -262,14 +263,12 @@ class TestComparePairwise:
         assert report.first_irr == irr_all(project_a, (0.15, 0.5))
 
     def test_renderers_reuse_the_report_irrs(self, project_a, project_b, monkeypatch):
-        import propval.projects
-
         reports = [compare_pairwise(project_a, project_b), compare_pairwise(project_a, project_a)]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a renderer searched for an IRR again")
 
-        monkeypatch.setattr(propval.projects, "irr_all", forbidden)
+        monkeypatch.setattr(projects, "irr_all", forbidden)
         for report in reports:
             comparison_table(report)
             comparison_csv(report)
