@@ -7,9 +7,10 @@ payment column always sums back to the principal, whatever principal
 reductions were chosen; verify_main_theorem measures the float residual
 of that identity for any schedule built here.
 
-Amounts stay full-precision doubles; rounding to cents happens only when
-serializing to CSV. Months are just periods: pass a monthly rate and a
-month count.
+Amounts stay full-precision doubles; rounding happens only when a schedule
+is rendered as CSV (to cents) or as a table (to any number of decimals),
+both through one row formatter. Months are just periods: pass a monthly
+rate and a month count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .render import format_fixed
+from .render import MAX_PLACES, _float_rounding_agrees, align_table, format_fixed
 from .timevalue import (
     installment_to_amortize,
     sinking_fund_factor,
@@ -34,11 +35,12 @@ __all__ = [
     "sinking_fund_schedule",
     "verify_main_theorem",
     "schedule_to_csv",
+    "schedule_to_table",
     "schedule_to_dict",
     "schedule_to_json",
 ]
 
-CSV_HEADER = "period,payment,interest,principal_reduction,ending_balance"
+COLUMNS = ["period", "payment", "interest", "principal_reduction", "ending_balance"]
 
 
 @dataclass(frozen=True)
@@ -180,22 +182,30 @@ def verify_main_theorem(schedule: AmortizationSchedule) -> float:
     return abs(discounted - math.fsum(schedule.principal_reductions))
 
 
+def _row_cells(row: AmortizationRow, places: int) -> list[str]:
+    """The period and the four amounts rounded to places decimals, as
+    format_fixed rounds them: one float formatting pass when all four
+    amounts allow it, format_fixed per amount otherwise."""
+    amounts = (row.payment, row.interest, row.principal_reduction, row.ending_balance)
+    a, b, c, d = amounts
+    exact = _float_rounding_agrees
+    if exact(a, places) and exact(b, places) and exact(c, places) and exact(d, places):
+        spec = f".{places}f"
+        return [str(row.period), f"{a:{spec}}", f"{b:{spec}}", f"{c:{spec}}", f"{d:{spec}}"]
+    return [str(row.period)] + [format_fixed(x, places) for x in amounts]
+
+
 def schedule_to_csv(schedule: AmortizationSchedule) -> str:
     """Render rows as CSV, amounts rounded to cents, LF line endings."""
-    lines = [CSV_HEADER]
-    for row in schedule.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.period),
-                    format_fixed(row.payment, 2),
-                    format_fixed(row.interest, 2),
-                    format_fixed(row.principal_reduction, 2),
-                    format_fixed(row.ending_balance, 2),
-                )
-            )
-        )
+    lines = [",".join(COLUMNS)] + [",".join(_row_cells(row, 2)) for row in schedule.rows]
     return "\n".join(lines) + "\n"
+
+
+def schedule_to_table(schedule: AmortizationSchedule, places: int) -> str:
+    """Render rows as aligned columns, amounts rounded to places decimals."""
+    if places < 0 or places > MAX_PLACES:
+        raise ValueError(f"places must be in 0..{MAX_PLACES}, got {places!r}")
+    return align_table([COLUMNS] + [_row_cells(row, places) for row in schedule.rows])
 
 
 def schedule_to_dict(schedule: AmortizationSchedule) -> dict:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from . import amortization, capitalization, projects, recurrence, timevalue
-from .render import align_table, format_fixed
+from .render import format_fixed
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -96,7 +96,13 @@ def _emit_values(cfg: CliConfig, items: list[tuple[str, float, str]]) -> None:
 
 
 def _emit_schedule(cfg: CliConfig, schedule: amortization.AmortizationSchedule) -> None:
+    """Print a schedule and its main-theorem residual; every amount must be finite."""
+    amounts = [x for r in schedule.rows for x in (r.payment, r.interest, r.principal_reduction, r.ending_balance)]
+    if not all(map(math.isfinite, amounts)):
+        raise OverflowError("a schedule amount is not a finite number")
     residual = amortization.verify_main_theorem(schedule)
+    if not math.isfinite(residual):
+        raise OverflowError("the main theorem residual is not a finite number")
     if cfg.output_format == "json":
         payload = amortization.schedule_to_dict(schedule)
         payload["main_theorem_residual"] = residual
@@ -106,19 +112,7 @@ def _emit_schedule(cfg: CliConfig, schedule: amortization.AmortizationSchedule) 
         sys.stdout.write(amortization.schedule_to_csv(schedule))
         print(f"# main_theorem_residual={residual:.6e}")
         return
-    p = cfg.money_precision
-    rows = [["period", "payment", "interest", "principal_reduction", "ending_balance"]]
-    for row in schedule.rows:
-        rows.append(
-            [
-                str(row.period),
-                format_fixed(row.payment, p),
-                format_fixed(row.interest, p),
-                format_fixed(row.principal_reduction, p),
-                format_fixed(row.ending_balance, p),
-            ]
-        )
-    sys.stdout.write(align_table(rows))
+    sys.stdout.write(amortization.schedule_to_table(schedule, cfg.money_precision))
     print(f"main theorem residual: {residual:.6e}")
 
 

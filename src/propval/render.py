@@ -1,23 +1,72 @@
 """Deterministic number formatting for CSV, tables, and reports.
 
-All rendering is locale-independent: '.' decimal separator, no grouping,
-ties rounded away from zero. Raw doubles belong in JSON output; these
-helpers exist for the human-facing and CSV layers only.
+All rendering is locale-independent: '.' decimal separator, no grouping.
+A value rounds half away from zero on its shortest decimal repr, the digits
+repr() prints: 2.675 renders as 2.68, although the double nearest 2.675
+lies just below it. A value that rounds to zero prints unsigned. Raw
+doubles belong in JSON output; these helpers exist for the human-facing
+and CSV layers only.
+
+format_fixed takes a fast path when it can: f"{x:.{p}f}" rounds the exact
+binary value of x, and that gives the same digits as rounding its shortest
+repr whenever no rounding boundary lies between the two. The boundaries
+are the ties (k + 1/2) / 10**p, and the repr lies within half an ulp of x,
+so a boundary can only fall between them when the repr is itself (nearly)
+the tie. _float_rounding_agrees checks this; ties such as 2.675, values of
+2**40 / 10**p and above, negative values that round to zero, and inf and
+nan take the Decimal path.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
+from math import copysign
 
 __all__ = ["format_fixed", "format_percent", "align_table"]
+
+MAX_PLACES = 12
+_POW10 = tuple(10.0**k for k in range(MAX_PLACES + 1))  # exact doubles up to 10**22
+_FIXED_SPECS = tuple(f".{k}f" for k in range(MAX_PLACES + 1))  # built once: a nested spec costs more than the check
+_SCALED_LIMIT = 2.0**40
+# adding and subtracting 1.5 * 2**52 rounds a double below 2**51 in size to an integer
+_RINT = 1.5 * 2.0**52
+_TIE_MARGIN = 1e-3
+# a finite double has at most 309 integer digits; keep every one plus the decimals
+_DECIMAL_DIGITS = 309 + MAX_PLACES
+
+
+def _float_rounding_agrees(value: float, places: int) -> bool:
+    """True when f"{value:.{places}f}" is exactly format_fixed(value, places).
+
+    Let s = value * 10**places, exactly, and r the shortest repr of value.
+    For |s| < 2**40 the computed product is within 2**-14 of s (10**places
+    itself is exact), and r * 10**places is within 2**-13 of s, as r lies
+    within half an ulp of value: at most 2**-53 * |value|, or 2**-1075 for
+    a subnormal. The rounding to an integer and the difference below are
+    exact. So when the computed product is more than _TIE_MARGIN from every
+    half-integer, s and r * 10**places lie on the same side of each one:
+    correctly rounded float formatting of value and ROUND_HALF_UP on r give
+    the same integer. Float formatting keeps the sign of a value that
+    rounds to zero ("-0.00"), so a negative value above -1/2 after scaling,
+    or -0.0, is not accepted.
+    """
+    scaled = value * _POW10[places]
+    return (
+        -_SCALED_LIMIT < scaled < _SCALED_LIMIT
+        and _TIE_MARGIN - 0.5 < scaled - (scaled + _RINT - _RINT) < 0.5 - _TIE_MARGIN
+        and (scaled > 0.0 or scaled <= -0.5 or copysign(1.0, scaled) > 0.0)
+    )
 
 
 def format_fixed(value: float, places: int) -> str:
     """Fixed-point string with the given decimals, ties away from zero."""
-    if places < 0 or places > 12:
-        raise ValueError(f"places must be in 0..12, got {places!r}")
-    quantum = Decimal(1).scaleb(-places)
-    quantized = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
+    if places < 0 or places > MAX_PLACES:
+        raise ValueError(f"places must be in 0..{MAX_PLACES}, got {places!r}")
+    if _float_rounding_agrees(value, places):
+        return format(value, _FIXED_SPECS[places])
+    quantized = Decimal(repr(float(value))).quantize(
+        Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP, context=Context(prec=_DECIMAL_DIGITS)
+    )
     if quantized == 0:
         quantized = abs(quantized)  # avoid "-0.00"
     return f"{quantized:f}"
@@ -30,9 +79,6 @@ def format_percent(rate: float, places: int = 2) -> str:
 
 def align_table(rows: list[list[str]]) -> str:
     """Left-aligned columns padded to the widest cell, two-space gutters."""
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    line = "  ".join(f"{{:<{width}}}" for width in widths).format
+    return "\n".join([line(*row).rstrip() for row in rows]) + "\n"

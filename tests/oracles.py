@@ -9,6 +9,7 @@ powers. Keep them dumb.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -111,3 +112,33 @@ def bal_form2_exact(k: int, n: int, rate: float) -> float:
         return 1.0
     value = (1 + r) ** k * (1 - _annuity_exact(r, k) / _annuity_exact(r, n))
     return float(value)
+
+
+def format_fixed_oracle(value: float, places: int) -> str:
+    """Shortest repr rounded half away from zero to places decimals, by Decimal.
+
+    The Decimal-only formatter the fast one replaced, given a context wide
+    enough for every finite double (the default 28 digits failed from 1e26).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        quantized = Decimal(repr(float(value))).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP)
+        if quantized == 0:
+            quantized = abs(quantized)
+        return f"{quantized:f}"
+
+
+def align_table_oracle(rows) -> str:
+    """Columns padded cell by cell with ljust, two-space gutters."""
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def schedule_cells_oracle(schedule, places: int) -> list[list[str]]:
+    """Header and rows of a schedule, every amount through format_fixed_oracle."""
+    rows = [["period", "payment", "interest", "principal_reduction", "ending_balance"]]
+    for row in schedule.rows:
+        amounts = (row.payment, row.interest, row.principal_reduction, row.ending_balance)
+        rows.append([str(row.period)] + [format_fixed_oracle(x, places) for x in amounts])
+    return rows

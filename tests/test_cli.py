@@ -358,6 +358,32 @@ class TestErrorContract:
         assert "error:" in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_schedule_overflow_exit_1(self, run, fmt):
+        code, out, err = run("amort", "level", "--pv", "1e308", "--i", "10", "--n", "5", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "floating-point range" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_nonfinite_schedule_residual_exit_1(self, run, tmp_path, fmt):
+        # finite rows whose discounting at -90% overflows
+        path = tmp_path / "reductions.json"
+        path.write_text(json.dumps([1.0] * 400))
+        code, out, err = run("amort", "general", "--file", str(path), "--i=-0.9", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "floating-point range" in err
+
+    def test_huge_value_renders_in_every_format(self, run):
+        argv = ("value", "growth", "--g", "10", "--i", "0.1", "--n", "300", "--format")
+        value = constant_ratio_annuity_value(10.0, 0.1, 300)
+        assert value > 1e298
+        outputs = {fmt: run(*argv, fmt) for fmt in ("table", "csv", "json")}
+        assert all(code == 0 and err == "" for code, _, err in outputs.values())
+        table = outputs["table"][1].strip()
+        assert outputs["csv"][1] == f"value,{table}\n"
+        assert json.loads(outputs["json"][1])["value"] == value
+        assert float(table) == value
+
 
 class TestDeterminismAndExitCodes:
     def test_byte_identical_repeat(self, run, project_files):
