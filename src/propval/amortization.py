@@ -15,7 +15,6 @@ rate and a month count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -228,4 +227,6 @@ def schedule_to_dict(schedule: AmortizationSchedule) -> dict:
 
 
 def schedule_to_json(schedule: AmortizationSchedule) -> str:
+    import json
+
     return json.dumps(schedule_to_dict(schedule))

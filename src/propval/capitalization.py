@@ -18,6 +18,7 @@ from .timevalue import (
     balance_fraction,
     installment_to_amortize,
     sinking_fund_factor,
+    _check_finite,
     _check_periods,
     _check_rate,
 )
@@ -110,6 +111,8 @@ class EllwoodRate:
 
 def perpetuity_value(income: float, rate: float) -> float:
     """Value of a level income that never stops: I / i."""
+    _check_finite(income, "income")
+    _check_finite(rate, "rate")
     if not rate > 0.0:
         raise ValueError(f"perpetuity rate must be positive, got {rate!r}")
     return income / rate
@@ -117,6 +120,8 @@ def perpetuity_value(income: float, rate: float) -> float:
 
 def capitalize(income: float, cap_rate: float) -> float:
     """Value from one period's income and a capitalization rate: V = I/R."""
+    _check_finite(income, "income")
+    _check_finite(cap_rate, "cap_rate")
     if cap_rate == 0.0:
         raise ValueError("cap_rate must be nonzero")
     return income / cap_rate
@@ -124,6 +129,8 @@ def capitalize(income: float, cap_rate: float) -> float:
 
 def rate_from(value: float, income: float) -> float:
     """Implied capitalization rate R = I/V from an observed value."""
+    _check_finite(value, "value")
+    _check_finite(income, "income")
     if value == 0.0:
         raise ValueError("value must be nonzero")
     return income / value
@@ -138,8 +145,7 @@ def adjusted_cap_rate(rate: float, n: int, asset_change: float) -> float:
     """
     rate = _check_rate(rate)
     n = _check_periods(n)
-    if not math.isfinite(asset_change):
-        raise ValueError("asset_change must be finite")
+    _check_finite(asset_change, "asset_change")
     return rate - asset_change * sinking_fund_factor(rate, n)
 
 
@@ -151,6 +157,8 @@ def band_of_investment(loan_to_value: float, debt_rate: float, equity_yield: flo
     """
     if not 0.0 <= loan_to_value <= 1.0:
         raise ValueError(f"loan_to_value must be in [0, 1], got {loan_to_value!r}")
+    _check_finite(debt_rate, "debt_rate")
+    _check_finite(equity_yield, "equity_yield")
     return loan_to_value * debt_rate + (1.0 - loan_to_value) * equity_yield
 
 
@@ -165,6 +173,8 @@ def band_with_mortgage_constant(
     """
     if not 0.0 <= loan_to_value <= 1.0:
         raise ValueError(f"loan_to_value must be in [0, 1], got {loan_to_value!r}")
+    _check_finite(mortgage_constant_annual, "mortgage_constant_annual")
+    _check_finite(equity_yield, "equity_yield")
     return loan_to_value * mortgage_constant_annual + (1.0 - loan_to_value) * equity_yield
 
 

@@ -1,4 +1,6 @@
 """Command-line front end. Thin dispatch only; all math lives in the library.
+Each handler imports the modules it uses, so a call loads only what its
+subcommand needs.
 
 Subcommands: tvm, amort, caprate, value, irr. Every subcommand accepts
 --format {table,csv,json} and --precision N (irr ignores the latter).
@@ -15,12 +17,9 @@ name,value rows or schedule rows; json carries raw doubles plus a
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
 
-from . import amortization, capitalization, projects, recurrence, timevalue
 from .render import format_fixed
 
 __all__ = ["main", "run", "build_parser"]
@@ -53,38 +52,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class CliConfig:
-    output_format: str = "table"
-    money_precision: int = 2
-    rate_precision: int = 4
+def _places_from(args: argparse.Namespace) -> dict[str, int]:
+    """Display decimals by value kind: 2 for money and 4 for rates, or --precision for both."""
+    if args.precision is None:
+        return {"money": 2, "rate": 4}
+    if not 0 <= args.precision <= 12:
+        raise ValueError(f"--precision must be in 0..12, got {args.precision}")
+    return {"money": args.precision, "rate": args.precision}
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(output_format=args.format)
-    if args.precision is not None:
-        if not 0 <= args.precision <= 12:
-            raise ValueError(f"--precision must be in 0..12, got {args.precision}")
-        cfg.money_precision = args.precision
-        cfg.rate_precision = args.precision
-    return cfg
+def _print_json(payload: dict) -> None:
+    import json
+
+    print(json.dumps(payload))
 
 
-def _precision_for(cfg: CliConfig, kind: str) -> int:
-    return cfg.money_precision if kind == "money" else cfg.rate_precision
-
-
-def _emit_values(cfg: CliConfig, items: list[tuple[str, float, str]]) -> None:
+def _emit_values(output_format: str, places: dict[str, int], items: list[tuple[str, float, str]]) -> None:
     """Print named scalars: bare in table format when there is only one."""
     if not all(math.isfinite(value) for _, value, _ in items):
         raise OverflowError("a result is not a finite number")
-    if cfg.output_format == "json":
+    if output_format == "json":
         payload: dict = {"schema": 1}
         payload.update({name: value for name, value, _ in items})
-        print(json.dumps(payload))
+        _print_json(payload)
         return
-    rendered = [(name, format_fixed(value, _precision_for(cfg, kind))) for name, value, kind in items]
-    if cfg.output_format == "csv":
+    rendered = [(name, format_fixed(value, places[kind])) for name, value, kind in items]
+    if output_format == "csv":
         for name, text in rendered:
             print(f"{name},{text}")
         return
@@ -95,28 +88,9 @@ def _emit_values(cfg: CliConfig, items: list[tuple[str, float, str]]) -> None:
             print(f"{name} {text}")
 
 
-def _emit_schedule(cfg: CliConfig, schedule: amortization.AmortizationSchedule) -> None:
-    """Print a schedule and its main-theorem residual; every amount must be finite."""
-    amounts = [x for r in schedule.rows for x in (r.payment, r.interest, r.principal_reduction, r.ending_balance)]
-    if not all(map(math.isfinite, amounts)):
-        raise OverflowError("a schedule amount is not a finite number")
-    residual = amortization.verify_main_theorem(schedule)
-    if not math.isfinite(residual):
-        raise OverflowError("the main theorem residual is not a finite number")
-    if cfg.output_format == "json":
-        payload = amortization.schedule_to_dict(schedule)
-        payload["main_theorem_residual"] = residual
-        print(json.dumps(payload))
-        return
-    if cfg.output_format == "csv":
-        sys.stdout.write(amortization.schedule_to_csv(schedule))
-        print(f"# main_theorem_residual={residual:.6e}")
-        return
-    sys.stdout.write(amortization.schedule_to_table(schedule, cfg.money_precision))
-    print(f"main theorem residual: {residual:.6e}")
-
-
 def _load_json(path: str):
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -126,7 +100,9 @@ def _load_json(path: str):
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_project_file(path: str) -> projects.Project:
+def _load_project_file(path: str):
+    from . import projects
+
     data = _load_json(path)
     try:
         return projects.project_from_dict(data, fallback_name=path)
@@ -152,7 +128,9 @@ def _load_reductions_file(path: str) -> list[float]:
 # subcommand handlers
 
 
-def _cmd_tvm(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_tvm(args: argparse.Namespace, places: dict[str, int]) -> int:
+    from . import timevalue
+
     fn = args.function
     if fn in ("bal", "pp"):
         if args.k is None:
@@ -169,22 +147,42 @@ def _cmd_tvm(args: argparse.Namespace, cfg: CliConfig) -> int:
             "sff": timevalue.sinking_fund_factor,
         }[fn]
         value = op(args.rate, args.n)
-    _emit_values(cfg, [("factor", value, "rate")])
+    _emit_values(args.format, places, [("factor", value, "rate")])
     return 0
 
 
-def _cmd_amort(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_amort(args: argparse.Namespace, places: dict[str, int]) -> int:
+    """Print a schedule and its main-theorem residual; every amount must be finite."""
+    from . import amortization
+
     if args.kind == "level":
         schedule = amortization.level_schedule(args.pv, args.i, args.n)
     elif args.kind == "general":
         schedule = amortization.generalized_schedule(_load_reductions_file(args.file), args.i)
     else:
         schedule = amortization.sinking_fund_schedule(args.v, args.i, args.r, args.n)
-    _emit_schedule(cfg, schedule)
+    amounts = [x for r in schedule.rows for x in (r.payment, r.interest, r.principal_reduction, r.ending_balance)]
+    if not all(map(math.isfinite, amounts)):
+        raise OverflowError("a schedule amount is not a finite number")
+    residual = amortization.verify_main_theorem(schedule)
+    if not math.isfinite(residual):
+        raise OverflowError("the main theorem residual is not a finite number")
+    if args.format == "json":
+        payload = amortization.schedule_to_dict(schedule)
+        payload["main_theorem_residual"] = residual
+        _print_json(payload)
+    elif args.format == "csv":
+        sys.stdout.write(amortization.schedule_to_csv(schedule))
+        print(f"# main_theorem_residual={residual:.6e}")
+    else:
+        sys.stdout.write(amortization.schedule_to_table(schedule, places["money"]))
+        print(f"main theorem residual: {residual:.6e}")
     return 0
 
 
-def _cmd_caprate(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_caprate(args: argparse.Namespace, places: dict[str, int]) -> int:
+    from . import capitalization
+
     method = args.method
     if method == "band":
         items = [("rate", capitalization.band_of_investment(args.m, args.i, args.y), "rate")]
@@ -218,11 +216,13 @@ def _cmd_caprate(args: argparse.Namespace, cfg: CliConfig) -> int:
         items = [
             ("rate", capitalization.recovery_cap_rate(method, args.i, args.n, getattr(args, "is_rate", None)), "rate")
         ]
-    _emit_values(cfg, items)
+    _emit_values(args.format, places, items)
     return 0
 
 
-def _cmd_value(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_value(args: argparse.Namespace, places: dict[str, int]) -> int:
+    from . import recurrence
+
     form = args.form
     if form == "recurrence":
         spec = recurrence.RecurrenceSpec(args.m, args.b, args.c)
@@ -240,11 +240,13 @@ def _cmd_value(args: argparse.Namespace, cfg: CliConfig) -> int:
         value = recurrence.accumulation_stream_value(args.i, args.n)
     else:
         value = recurrence.hoskold_stream_value(args.income, args.i, args.is_rate, args.n)
-    _emit_values(cfg, [("value", value, "money")])
+    _emit_values(args.format, places, [("value", value, "money")])
     return 0
 
 
-def _cmd_irr(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
+    from . import projects
+
     npv_rates = args.npv_at or ()
     bounds = args.bounds or projects.DEFAULT_IRR_BOUNDS
     if len(bounds) != 2:
@@ -263,10 +265,10 @@ def _cmd_irr(args: argparse.Namespace, cfg: CliConfig) -> int:
         result = (loaded[0], projects.irr_all(loaded[0], bounds))
         table, csv, to_dict = projects.analysis_table, projects.analysis_csv, projects.analysis_to_dict
 
-    if cfg.output_format == "json":
-        print(json.dumps(to_dict(*result, npv_rates)))
+    if args.format == "json":
+        _print_json(to_dict(*result, npv_rates))
     else:
-        sys.stdout.write((csv if cfg.output_format == "csv" else table)(*result, npv_rates))
+        sys.stdout.write((csv if args.format == "csv" else table)(*result, npv_rates))
     return 0
 
 
@@ -417,8 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from(args)
-        return args.handler(args, cfg)
+        return args.handler(args, _places_from(args))
     except InputFileError as exc:
         print(f"propval: error: {exc}", file=sys.stderr)
         return 2

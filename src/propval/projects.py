@@ -22,7 +22,8 @@ cash-flow vectors in the orientation whose NPV slopes downward, and its
 unique IRR is the cutoff rate below which the later-paying project wins.
 The comparison report carries the IRRs of both projects and of the
 difference, all searched in the same bounds, so the table, CSV and JSON
-renderers below only format what compare_pairwise found.
+renderers below only format what compare_pairwise found. A requested
+NPV out of floating-point range raises OverflowError in every renderer.
 """
 
 from __future__ import annotations
@@ -428,8 +429,16 @@ def analysis_to_dict(
             "classification": result.classification,
             "search_bounds": list(result.search_bounds),
         },
-        "npv": {f"{r:g}": npv(project, r) for r in npv_rates},
+        "npv": {f"{r:g}": value for r, value in zip(npv_rates, _reported_npvs(project, npv_rates))},
     }
+
+
+def _reported_npvs(project: Project, npv_rates) -> list[float]:
+    """The NPV at each rate; one out of floating-point range raises OverflowError."""
+    values = [npv(project, r) for r in npv_rates]
+    if not all(map(math.isfinite, values)):
+        raise OverflowError("a reported NPV is not a finite number")
+    return values
 
 
 def _project_rows(entries, npv_rates, labels, irr_cells) -> list[list[str]]:
@@ -443,7 +452,7 @@ def _project_rows(entries, npv_rates, labels, irr_cells) -> list[list[str]]:
     rows = [header + [npv_label(r) for r in npv_rates]]
     for project, result in entries:
         row = [project.name] + [format_fixed(c, 2) for c in _padded(project, horizon)] + irr_cells(result)
-        rows.append(row + [format_fixed(npv(project, r), 2) for r in npv_rates])
+        rows.append(row + [format_fixed(value, 2) for value in _reported_npvs(project, npv_rates)])
     return rows
 
 

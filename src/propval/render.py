@@ -13,13 +13,12 @@ repr whenever no rounding boundary lies between the two. The boundaries
 are the ties (k + 1/2) / 10**p, and the repr lies within half an ulp of x,
 so a boundary can only fall between them when the repr is itself (nearly)
 the tie. _float_rounding_agrees checks this; ties such as 2.675, values of
-2**40 / 10**p and above, negative values that round to zero, and inf and
-nan take the Decimal path.
+2**40 / 10**p and above, and inf and nan take the Decimal path. A negative
+value that rounds to zero formats as its absolute value, the unsigned zero.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Context, Decimal
 from math import copysign
 
 __all__ = ["format_fixed", "format_percent", "align_table"]
@@ -64,6 +63,12 @@ def format_fixed(value: float, places: int) -> str:
         raise ValueError(f"places must be in 0..{MAX_PLACES}, got {places!r}")
     if _float_rounding_agrees(value, places):
         return format(value, _FIXED_SPECS[places])
+    if _float_rounding_agrees(-value, places):
+        # only a negative value that rounds to zero fails the test above and
+        # passes this one: its absolute value prints the unsigned zero
+        return format(-value, _FIXED_SPECS[places])
+    from decimal import ROUND_HALF_UP, Context, Decimal  # loaded only when a value needs it
+
     quantized = Decimal(repr(float(value))).quantize(
         Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP, context=Context(prec=_DECIMAL_DIGITS)
     )

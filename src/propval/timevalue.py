@@ -29,7 +29,16 @@ __all__ = [
 ]
 
 
+def _check_finite(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _check_rate(rate: float, name: str = "rate") -> float:
+    # checks inline rather than through _check_finite: every factor function
+    # calls this, and one more call per check made appraisal_batch ~4% slower
     rate = float(rate)
     if not math.isfinite(rate):
         raise ValueError(f"{name} must be finite, got {rate!r}")

@@ -281,3 +281,25 @@ class TestRecoveryMethods:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             recovery_cap_rate("gordon", 0.10, 10)
+
+
+# each function with finite reference arguments; every position is then made non-finite
+FINITE_CALLS = [
+    (perpetuity_value, (100.0, 0.1)),
+    (capitalize, (100.0, 0.1)),
+    (rate_from, (1000.0, 100.0)),
+    (band_of_investment, (0.7, 0.09, 0.12)),
+    (band_with_mortgage_constant, (0.7, 0.1, 0.12)),
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "fn, args, position",
+    [(fn, args, k) for fn, args in FINITE_CALLS for k in range(len(args))],
+    ids=[f"{fn.__name__}-arg{k}" for fn, args in FINITE_CALLS for k in range(len(args))],
+)
+def test_rejects_nonfinite_arguments(fn, args, position, bad):
+    with pytest.raises(ValueError):
+        fn(*args[:position], bad, *args[position + 1 :])
+

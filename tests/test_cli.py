@@ -373,6 +373,14 @@ class TestErrorContract:
         assert (code, out) == (1, "")
         assert "floating-point range" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_nonfinite_npv_exit_1(self, run, tmp_path, fmt):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "H", "cashflows": [-1e308, 1e308, 1e308]}))
+        code, out, err = run("irr", str(path), "--npv-at=-0.9", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "floating-point range" in err
+
     def test_huge_value_renders_in_every_format(self, run):
         argv = ("value", "growth", "--g", "10", "--i", "0.1", "--n", "300", "--format")
         value = constant_ratio_annuity_value(10.0, 0.1, 300)
@@ -401,11 +409,43 @@ class TestDeterminismAndExitCodes:
         assert "tvm" in out
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
     env = dict(os.environ)
     src = str(Path(propval.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, propval.cli; print('numpy' in sys.modules)"
+    code += "\nimport sys; print(' '.join(sys.modules), file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stderr.split())
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert "numpy" not in _loaded_after("import propval.cli")
+
+
+def test_package_import_loads_no_module():
+    assert {name for name in _loaded_after("import propval") if name.startswith("propval")} == {"propval"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (
+            ["tvm", "annuity", "--rate", "0.1", "--n", "10"],
+            {"propval.projects", "propval.amortization", "propval.capitalization", "propval.recurrence",
+             "decimal", "json", "dataclasses"},
+        ),
+        # the last row's ending balance is a tiny negative that prints as 0.00
+        (["amort", "level", "--pv", "1000", "--i", "0.01", "--n", "12", "--format", "table"],
+         {"decimal", "json", "propval.projects"}),
+        (["irr", "PROJECT", "--npv-at", "0.1"], {"propval.amortization"}),
+    ],
+    ids=["tvm", "amort-level-table", "irr"],
+)
+def test_cli_call_loads_only_what_it_uses(tmp_path, argv, unloaded):
+    project = tmp_path / "A.json"
+    project.write_text(json.dumps({"name": "A", "cashflows": [-1000, 200, 200, 1200]}))
+    argv = [str(project) if arg == "PROJECT" else arg for arg in argv]
+    loaded = _loaded_after(f"from propval.cli import main; assert main({argv!r}) == 0")
+    assert loaded & unloaded == set()

@@ -274,6 +274,17 @@ class TestComparePairwise:
             comparison_csv(report)
             comparison_to_dict(report)
 
+    @pytest.mark.parametrize(
+        "render",
+        [projects.analysis_table, projects.analysis_csv, projects.analysis_to_dict],
+        ids=["table", "csv", "dict"],
+    )
+    def test_renderers_refuse_a_nonfinite_npv(self, render):
+        huge = Project("H", (-1e308, 1e308, 1e308))
+        assert npv(huge, -0.9) == float("inf")
+        with pytest.raises(OverflowError):
+            render(huge, irr_all(huge), (0.1, -0.9))
+
     def test_unorientable_pair(self):
         p1 = Project("p1", (-100, 300, -100, 50))
         p2 = Project("p2", (-100, 50, 160, 40))

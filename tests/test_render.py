@@ -57,6 +57,22 @@ def near_edge(draw):
     return value, places
 
 
+@st.composite
+def rounding_to_zero(draw):
+    """-0.0, a tiny negative, or a negative within a few ulps of -1/2 after
+    scaling (-0.00499... at 2 places) at the drawn places."""
+    places = draw(PLACES)
+    half = 0.5 / 10**places
+    value = draw(
+        st.one_of(
+            st.sampled_from((-0.0, -1.5e-11, -5e-324)),
+            st.floats(-half, -0.0),
+            st.integers(-4, 4).map(lambda ulps: nudged(-half, ulps)),
+        )
+    )
+    return value, places
+
+
 class TestFormatFixed:
     @given(st.floats(allow_nan=False, allow_infinity=False), PLACES)
     @settings(max_examples=400)
@@ -71,6 +87,12 @@ class TestFormatFixed:
     @given(st.one_of(near_ties(), near_edge()))
     @settings(max_examples=400)
     def test_near_ties_and_the_edge(self, case):
+        value, places = case
+        assert format_fixed(value, places) == format_fixed_oracle(value, places)
+
+    @given(rounding_to_zero())
+    @settings(max_examples=400)
+    def test_negatives_that_round_to_zero(self, case):
         value, places = case
         assert format_fixed(value, places) == format_fixed_oracle(value, places)
 
