@@ -2,15 +2,20 @@
 
 Each case runs in table, csv and json format and is compared byte for
 byte with tests/golden/<case>.<format>.txt, whose first line holds the
-exit code. To rewrite the files after an intended output change, run
-this file as a script: PYTHONPATH=src python tests/test_golden.py
+exit code. The --help text of every parser and a set of usage errors are
+pinned the same way in tests/golden/<case>.txt, with stderr after a
+"--- stderr" line, at a help width of 80 columns. To rewrite the files
+after an intended output change, run this file as a script:
+PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -43,13 +48,49 @@ CASES = {
     "irr-compare-degenerate": ["irr", A, A, "--compare"],
 }
 
+HELP_CASES = {
+    "help": [],
+    "help-tvm": ["tvm"],
+    "help-amort": ["amort"],
+    **{f"help-amort-{kind}": ["amort", kind] for kind in ("level", "general", "sinking")},
+    "help-caprate": ["caprate"],
+    **{
+        f"help-caprate-{method}": ["caprate", method]
+        for method in (
+            "band", "band-rm", "mortgage-constant", "adjusted", "ellwood", "ellwood-j", "ring", "hoskold", "annuity"
+        )
+    },
+    "help-value": ["value"],
+    **{
+        f"help-value-{form}": ["value", form]
+        for form in ("recurrence", "offset", "straight-line", "growth", "accumulation", "hoskold")
+    },
+    "help-irr": ["irr"],
+}
+USAGE_CASES = {
+    "usage-no-command": [],
+    "usage-unknown-command": ["bogus"],
+    "usage-no-kind": ["amort"],
+    "usage-unknown-method": ["caprate", "bogus"],
+    "usage-missing-option": ["tvm", "annuity", "--rate", "0.1"],
+    "usage-non-finite": ["value", "growth", "--g", "nan", "--i", "0.1", "--n", "5"],
+    "usage-ambiguous-option": [
+        "caprate", "ellwood-j", "--m", "0.7", "--i", "0.09", "--months", "300",
+        "--hold", "10", "--y", "0.14", "--del", "0.2",
+    ],
+    "usage-unrecognized": ["tvm", "annuity", "--rate", "0.1", "--n", "5", "--bogus"],
+    "usage-bad-list": ["irr", A, "--bounds", "0.1,x"],
+}
+PARSER_CASES = {**{case: argv + ["--help"] for case, argv in HELP_CASES.items()}, **USAGE_CASES}
+
 
 def invoke(argv: list[str]) -> str:
-    """Exit-code line plus stdout, as stored in a golden file."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """Exit-code line plus stdout, and stderr if any, as stored in a golden file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
         code = main(argv)
-    return f"exit {code}\n{out.getvalue()}"
+    text = f"exit {code}\n{out.getvalue()}"
+    return text + f"--- stderr\n{err.getvalue()}" if err.getvalue() else text
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -59,7 +100,15 @@ def test_golden_output(case, fmt):
     assert invoke(CASES[case] + ["--format", fmt]) == expected
 
 
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_help_and_usage(case):
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert invoke(PARSER_CASES[case]) == expected
+
+
 if __name__ == "__main__":
     for case, argv in sorted(CASES.items()):
         for fmt in FORMATS:
             (GOLDEN / f"{case}.{fmt}.txt").write_text(invoke(argv + ["--format", fmt]), encoding="utf-8")
+    for case, argv in sorted(PARSER_CASES.items()):
+        (GOLDEN / f"{case}.txt").write_text(invoke(argv), encoding="utf-8")
