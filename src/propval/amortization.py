@@ -16,8 +16,8 @@ rate and a month count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .render import MAX_PLACES, _float_rounding_agrees, align_table, format_fixed
 from .timevalue import (
     installment_to_amortize,
@@ -42,22 +42,16 @@ __all__ = [
 COLUMNS = ["period", "payment", "interest", "principal_reduction", "ending_balance"]
 
 
-@dataclass(frozen=True)
-class AmortizationRow:
-    period: int
-    payment: float
-    interest: float
-    principal_reduction: float
-    ending_balance: float
+class AmortizationRow(record("AmortizationRow", COLUMNS)):
+    """One period of a schedule; the amounts are unrounded doubles."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AmortizationSchedule:
-    """Principal, per-period rate, and the rows that retire the principal."""
+class AmortizationSchedule(record("AmortizationSchedule", "principal rate rows")):
+    """Principal, per-period rate, and the tuple of rows that retire the principal."""
 
-    principal: float
-    rate: float
-    rows: tuple[AmortizationRow, ...]
+    __slots__ = ()
 
     @property
     def payments(self) -> list[float]:
@@ -185,13 +179,12 @@ def _row_cells(row: AmortizationRow, places: int) -> list[str]:
     """The period and the four amounts rounded to places decimals, as
     format_fixed rounds them: one float formatting pass when all four
     amounts allow it, format_fixed per amount otherwise."""
-    amounts = (row.payment, row.interest, row.principal_reduction, row.ending_balance)
-    a, b, c, d = amounts
+    period, a, b, c, d = row
     exact = _float_rounding_agrees
     if exact(a, places) and exact(b, places) and exact(c, places) and exact(d, places):
         spec = f".{places}f"
-        return [str(row.period), f"{a:{spec}}", f"{b:{spec}}", f"{c:{spec}}", f"{d:{spec}}"]
-    return [str(row.period)] + [format_fixed(x, places) for x in amounts]
+        return [str(period), f"{a:{spec}}", f"{b:{spec}}", f"{c:{spec}}", f"{d:{spec}}"]
+    return [str(period)] + [format_fixed(x, places) for x in (a, b, c, d)]
 
 
 def schedule_to_csv(schedule: AmortizationSchedule) -> str:
@@ -215,13 +208,13 @@ def schedule_to_dict(schedule: AmortizationSchedule) -> dict:
         "rate": schedule.rate,
         "rows": [
             {
-                "period": row.period,
-                "payment": row.payment,
-                "interest": row.interest,
-                "principal_reduction": row.principal_reduction,
-                "ending_balance": row.ending_balance,
+                "period": period,
+                "payment": payment,
+                "interest": interest,
+                "principal_reduction": reduction,
+                "ending_balance": balance,
             }
-            for row in schedule.rows
+            for period, payment, interest, reduction, balance in schedule.rows
         ],
     }
 

@@ -11,8 +11,8 @@ income-change variant dividing by 1 + delta*J).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
+from ._record import record
 from .recurrence import ellwood_j_factor
 from .timevalue import (
     balance_fraction,
@@ -42,8 +42,7 @@ __all__ = [
 RECOVERY_METHODS = ("ring", "hoskold", "annuity")
 
 
-@dataclass(frozen=True)
-class MortgageTerms:
+class MortgageTerms(record("MortgageTerms", "loan_to_value annual_rate amortization_months holding_years")):
     """Financing shape of a leveraged hold.
 
     loan_to_value is the financed fraction of value; annual_rate the note
@@ -52,26 +51,25 @@ class MortgageTerms:
     left to describe).
     """
 
-    loan_to_value: float
-    annual_rate: float
-    amortization_months: int
-    holding_years: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loan_to_value <= 1.0:
-            raise ValueError(f"loan_to_value must be in [0, 1], got {self.loan_to_value!r}")
-        _check_rate(self.annual_rate, name="annual_rate")
-        _check_periods(self.amortization_months, name="amortization_months")
-        _check_periods(self.holding_years, name="holding_years")
-        if self.amortization_months < 12 * self.holding_years:
+    def __new__(
+        cls, loan_to_value: float, annual_rate: float, amortization_months: int, holding_years: int
+    ) -> MortgageTerms:
+        if not 0.0 <= loan_to_value <= 1.0:
+            raise ValueError(f"loan_to_value must be in [0, 1], got {loan_to_value!r}")
+        _check_rate(annual_rate, name="annual_rate")
+        _check_periods(amortization_months, name="amortization_months")
+        _check_periods(holding_years, name="holding_years")
+        if amortization_months < 12 * holding_years:
             raise ValueError(
                 "amortization_months must cover the holding period "
-                f"({self.amortization_months} < {12 * self.holding_years})"
+                f"({amortization_months} < {12 * holding_years})"
             )
+        return super().__new__(cls, loan_to_value, annual_rate, amortization_months, holding_years)
 
 
-@dataclass(frozen=True)
-class AppreciationSpec:
+class AppreciationSpec(record("AppreciationSpec", "asset_change income_change", defaults=(0.0, 0.0))):
     """Relative changes over the holding period.
 
     asset_change is the fractional change in resale value (-1 means the
@@ -79,18 +77,33 @@ class AppreciationSpec:
     income used by the changing-income cap rate.
     """
 
-    asset_change: float = 0.0
-    income_change: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.asset_change) or not math.isfinite(self.income_change):
+    def __new__(cls, asset_change: float = 0.0, income_change: float = 0.0) -> AppreciationSpec:
+        if not math.isfinite(asset_change) or not math.isfinite(income_change):
             raise ValueError("appreciation fractions must be finite")
-        if self.asset_change < -1.0:
-            raise ValueError(f"asset_change cannot fall below -1, got {self.asset_change!r}")
+        if asset_change < -1.0:
+            raise ValueError(f"asset_change cannot fall below -1, got {asset_change!r}")
+        return super().__new__(cls, asset_change, income_change)
 
 
-@dataclass(frozen=True)
-class EllwoodRate:
+class EllwoodRate(
+    record(
+        "EllwoodRate",
+        [
+            "rate",
+            "c_factor",
+            "mortgage_constant",
+            "portion_paid",
+            "balance_fraction",
+            "equity_sff",
+            "akerson_rate",
+            "j_factor",
+            "income_change",
+        ],
+        defaults=(None, 0.0),
+    )
+):
     """A mortgage-equity cap rate with its intermediate pieces.
 
     akerson_rate regroups the same terms band-of-investment style and must
@@ -98,15 +111,7 @@ class EllwoodRate:
     changing-income variant.
     """
 
-    rate: float
-    c_factor: float
-    mortgage_constant: float
-    portion_paid: float
-    balance_fraction: float
-    equity_sff: float
-    akerson_rate: float
-    j_factor: float | None = None
-    income_change: float = 0.0
+    __slots__ = ()
 
 
 def perpetuity_value(income: float, rate: float) -> float:
@@ -239,8 +244,8 @@ def ellwood_j_cap_rate(
     denom = 1.0 + delta * j
     if denom == 0.0:
         raise ValueError("income change cancels the J adjustment; rate undefined")
-    return replace(
-        base, rate=base.rate / denom, akerson_rate=base.akerson_rate / denom, j_factor=j, income_change=delta
+    return base._replace(
+        rate=base.rate / denom, akerson_rate=base.akerson_rate / denom, j_factor=j, income_change=delta
     )
 
 

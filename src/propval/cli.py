@@ -46,7 +46,22 @@ def _finite_list(text: str) -> tuple[float, ...]:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1, not argparse's default 2
+    """Usage problems exit 1, not argparse's default 2.
+
+    A subcommand's parser is registered with its name and help only; the
+    first time argparse selects it, fill(parser) adds its arguments or its
+    own subcommands. A call so builds just the parsers on its path, and
+    every help and usage text reads as if the whole tree were built.
+    """
+
+    fill = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.fill is not None:
+            fill, self.fill = self.fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -276,15 +291,22 @@ def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
 # parser assembly
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
+def _add_commands(parser: argparse.ArgumentParser, dest: str, fill, commands: dict[str, str]) -> None:
+    """Register each subcommand name -> help; fill(subparser, name) builds the one argparse selects."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Parser)
+    for name, help_text in commands.items():
+        sub.add_parser(name, help=help_text).fill = lambda p, name=name: fill(p, name)
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """The --format and --precision options every leaf subcommand takes."""
+    p.add_argument(
         "--format",
         choices=("table", "csv", "json"),
         default="table",
         help="output format (default table)",
     )
-    common.add_argument(
+    p.add_argument(
         "--precision",
         type=int,
         default=None,
@@ -292,124 +314,147 @@ def build_parser() -> argparse.ArgumentParser:
         help="display decimals for every value (defaults: 2 money, 4 rates)",
     )
 
-    parser = _Parser(
-        prog="propval",
-        description="Income-property valuation calculations.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    tvm = sub.add_parser("tvm", parents=[common], help="compound interest factor functions")
-    tvm.add_argument(
-        "function",
-        choices=("compound", "reversion", "annuity", "amortize", "accumulate", "sff", "bal", "pp"),
-    )
-    tvm.add_argument("--rate", type=_finite, required=True, help="rate per period, decimal fraction")
-    tvm.add_argument("--n", type=int, required=True, help="number of periods")
-    tvm.add_argument("--k", type=int, default=None, help="elapsed payments (bal and pp only)")
-    tvm.set_defaults(handler=_cmd_tvm)
+def _fill_command(p: argparse.ArgumentParser, command: str) -> None:
+    """A top-level subcommand's arguments, or the names of its own subcommands."""
+    if command == "tvm":
+        _add_common(p)
+        p.add_argument(
+            "function",
+            choices=("compound", "reversion", "annuity", "amortize", "accumulate", "sff", "bal", "pp"),
+        )
+        p.add_argument("--rate", type=_finite, required=True, help="rate per period, decimal fraction")
+        p.add_argument("--n", type=int, required=True, help="number of periods")
+        p.add_argument("--k", type=int, default=None, help="elapsed payments (bal and pp only)")
+    elif command == "amort":
+        _add_commands(p, "kind", _fill_amort, {
+            "level": "equal payments",
+            "general": "given principal reductions",
+            "sinking": "sinking-fund capital recovery",
+        })
+    elif command == "caprate":
+        _add_commands(p, "method", _fill_caprate, {
+            "band": "band of investment, interest-only debt",
+            "band-rm": "band of investment, amortizing debt",
+            "mortgage-constant": "annual debt service per unit loan",
+            "adjusted": "level income with value change",
+            "ellwood": "mortgage-equity rate, constant income",
+            "ellwood-j": "mortgage-equity rate, changing income",
+            "ring": "straight-line recovery rate",
+            "hoskold": "safe-rate recovery rate",
+            "annuity": "full-rate recovery: 1/a(n,i)",
+        })
+    elif command == "value":
+        _add_commands(p, "form", _fill_value, {
+            "recurrence": "stream y_k = m*y_(k-1) + b from seed c",
+            "offset": "stream d, d - y_1*h, d - y_2*h, ...",
+            "straight-line": "stream d, d-h, d-2h, ...",
+            "growth": "stream starting at 1 growing at ratio g",
+            "accumulation": "stream of accumulation factors s_1..s_n",
+            "hoskold": "safe-rate declining stream value",
+        })
+    else:
+        _add_common(p)
+        p.add_argument("files", nargs="+", help="project JSON file(s): {\"name\": ..., \"cashflows\": [...]}")
+        p.add_argument("--compare", action="store_true", help="pairwise comparison of two projects")
+        p.add_argument(
+            "--npv-at", type=_finite_list, default=None, metavar="R1,R2,...", help="rates at which to report NPV"
+        )
+        p.add_argument(
+            "--bounds",
+            type=_finite_list,
+            default=None,
+            metavar="LO,HI",
+            help="search interval for every IRR and the --compare cutoff (default -0.999,10)",
+        )
 
-    amort = sub.add_parser("amort", help="amortization schedules")
-    amort_sub = amort.add_subparsers(dest="kind", required=True, parser_class=_Parser)
-    level = amort_sub.add_parser("level", parents=[common], help="equal payments")
-    level.add_argument("--pv", type=_finite, required=True, help="loan principal")
-    level.add_argument("--i", type=_finite, required=True, help="rate per period")
-    level.add_argument("--n", type=int, required=True, help="number of periods")
-    general = amort_sub.add_parser("general", parents=[common], help="given principal reductions")
-    general.add_argument("--file", required=True, help="JSON file with the principal reductions")
-    general.add_argument("--i", type=_finite, required=True, help="rate per period")
-    sinking = amort_sub.add_parser("sinking", parents=[common], help="sinking-fund capital recovery")
-    sinking.add_argument("--v", type=_finite, required=True, help="capital to recover")
-    sinking.add_argument("--i", type=_finite, required=True, help="discount rate per period")
-    sinking.add_argument("--r", type=_finite, required=True, help="sinking fund rate per period")
-    sinking.add_argument("--n", type=int, required=True, help="number of periods")
-    amort.set_defaults(handler=_cmd_amort)
-    for p in (level, general, sinking):
-        p.set_defaults(handler=_cmd_amort)
 
-    caprate = sub.add_parser("caprate", help="direct capitalization rates")
-    cap_sub = caprate.add_subparsers(dest="method", required=True, parser_class=_Parser)
-    band = cap_sub.add_parser("band", parents=[common], help="band of investment, interest-only debt")
-    band.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
-    band.add_argument("--i", type=_finite, required=True, help="mortgage interest rate")
-    band.add_argument("--y", type=_finite, required=True, help="equity yield rate")
-    band_rm = cap_sub.add_parser("band-rm", parents=[common], help="band of investment, amortizing debt")
-    band_rm.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
-    band_rm.add_argument("--rm", type=_finite, required=True, help="annual mortgage constant")
-    band_rm.add_argument("--y", type=_finite, required=True, help="equity yield rate")
-    mc = cap_sub.add_parser("mortgage-constant", parents=[common], help="annual debt service per unit loan")
-    mc.add_argument("--i", type=_finite, required=True, help="annual note rate")
-    mc.add_argument("--months", type=int, required=True, help="amortization term in months")
-    adjusted = cap_sub.add_parser("adjusted", parents=[common], help="level income with value change")
-    adjusted.add_argument("--i", type=_finite, required=True, help="discount rate")
-    adjusted.add_argument("--n", type=int, required=True, help="horizon in periods")
-    adjusted.add_argument("--delta0", type=_finite, required=True, help="relative value change")
-    ellwood = cap_sub.add_parser("ellwood", parents=[common], help="mortgage-equity rate, constant income")
-    ellwood_j = cap_sub.add_parser("ellwood-j", parents=[common], help="mortgage-equity rate, changing income")
-    for p in (ellwood, ellwood_j):
+def _fill_amort(p: argparse.ArgumentParser, kind: str) -> None:
+    _add_common(p)
+    if kind == "level":
+        p.add_argument("--pv", type=_finite, required=True, help="loan principal")
+        p.add_argument("--i", type=_finite, required=True, help="rate per period")
+        p.add_argument("--n", type=int, required=True, help="number of periods")
+    elif kind == "general":
+        p.add_argument("--file", required=True, help="JSON file with the principal reductions")
+        p.add_argument("--i", type=_finite, required=True, help="rate per period")
+    else:
+        p.add_argument("--v", type=_finite, required=True, help="capital to recover")
+        p.add_argument("--i", type=_finite, required=True, help="discount rate per period")
+        p.add_argument("--r", type=_finite, required=True, help="sinking fund rate per period")
+        p.add_argument("--n", type=int, required=True, help="number of periods")
+
+
+def _fill_caprate(p: argparse.ArgumentParser, method: str) -> None:
+    _add_common(p)
+    if method in ("band", "band-rm"):
+        p.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
+        if method == "band":
+            p.add_argument("--i", type=_finite, required=True, help="mortgage interest rate")
+        else:
+            p.add_argument("--rm", type=_finite, required=True, help="annual mortgage constant")
+        p.add_argument("--y", type=_finite, required=True, help="equity yield rate")
+    elif method == "mortgage-constant":
+        p.add_argument("--i", type=_finite, required=True, help="annual note rate")
+        p.add_argument("--months", type=int, required=True, help="amortization term in months")
+    elif method in ("ellwood", "ellwood-j"):
         p.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
         p.add_argument("--i", type=_finite, required=True, help="annual note rate")
         p.add_argument("--months", type=int, required=True, help="amortization term in months")
         p.add_argument("--hold", type=int, required=True, help="holding period in years")
         p.add_argument("--y", type=_finite, required=True, help="equity yield rate")
         p.add_argument("--delta0", type=_finite, default=0.0, help="relative value change over the hold")
-    ellwood_j.add_argument("--delta", type=_finite, required=True, help="relative income change over the hold")
-    ellwood_j.add_argument("--jn", type=int, default=None, help="horizon for the J factor (default: holding years)")
-    ring = cap_sub.add_parser("ring", parents=[common], help="straight-line recovery rate")
-    ring.add_argument("--i", type=_finite, required=True, help="discount rate")
-    ring.add_argument("--n", type=int, required=True, help="recovery horizon")
-    hoskold = cap_sub.add_parser("hoskold", parents=[common], help="safe-rate recovery rate")
-    hoskold.add_argument("--i", type=_finite, required=True, help="discount rate")
-    hoskold.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
-    hoskold.add_argument("--n", type=int, required=True, help="recovery horizon")
-    annuity = cap_sub.add_parser("annuity", parents=[common], help="full-rate recovery: 1/a(n,i)")
-    annuity.add_argument("--i", type=_finite, required=True, help="discount rate")
-    annuity.add_argument("--n", type=int, required=True, help="recovery horizon")
-    for p in (band, band_rm, mc, adjusted, ellwood, ellwood_j, ring, hoskold, annuity):
-        p.set_defaults(handler=_cmd_caprate)
+        if method == "ellwood-j":
+            p.add_argument("--delta", type=_finite, required=True, help="relative income change over the hold")
+            p.add_argument("--jn", type=int, default=None, help="horizon for the J factor (default: holding years)")
+    elif method == "adjusted":
+        p.add_argument("--i", type=_finite, required=True, help="discount rate")
+        p.add_argument("--n", type=int, required=True, help="horizon in periods")
+        p.add_argument("--delta0", type=_finite, required=True, help="relative value change")
+    else:  # ring, hoskold, annuity
+        p.add_argument("--i", type=_finite, required=True, help="discount rate")
+        if method == "hoskold":
+            p.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
+        p.add_argument("--n", type=int, required=True, help="recovery horizon")
 
-    value = sub.add_parser("value", help="present value of changing income streams")
-    value_sub = value.add_subparsers(dest="form", required=True, parser_class=_Parser)
-    rec = value_sub.add_parser("recurrence", parents=[common], help="stream y_k = m*y_(k-1) + b from seed c")
-    for flag, hint in (("--m", "multiplier"), ("--b", "increment"), ("--c", "seed value y_0")):
-        rec.add_argument(flag, type=_finite, required=True, help=hint)
-    offset = value_sub.add_parser("offset", parents=[common], help="stream d, d - y_1*h, d - y_2*h, ...")
-    for flag, hint in (
-        ("--d", "first-period income"),
-        ("--h", "decrement scale on the generated terms"),
-        ("--m", "multiplier"),
-        ("--b", "increment"),
-        ("--c", "seed value y_0"),
-    ):
-        offset.add_argument(flag, type=_finite, required=True, help=hint)
-    straight = value_sub.add_parser("straight-line", parents=[common], help="stream d, d-h, d-2h, ...")
-    straight.add_argument("--d", type=_finite, required=True, help="first-period income")
-    straight.add_argument("--h", type=_finite, required=True, help="constant decline per period (negative rises)")
-    growth = value_sub.add_parser("growth", parents=[common], help="stream starting at 1 growing at ratio g")
-    growth.add_argument("--g", type=_finite, required=True, help="growth rate per period")
-    accum = value_sub.add_parser("accumulation", parents=[common], help="stream of accumulation factors s_1..s_n")
-    hosk = value_sub.add_parser("hoskold", parents=[common], help="safe-rate declining stream value")
-    hosk.add_argument("--income", type=_finite, required=True, help="first-year income")
-    hosk.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
-    for p in (rec, offset, straight, growth, accum, hosk):
-        p.add_argument("--i", type=_finite, required=True, help="discount rate per period")
-        p.add_argument("--n", type=int, required=True, help="number of periods")
-        p.set_defaults(handler=_cmd_value)
 
-    irr = sub.add_parser("irr", parents=[common], help="NPV / IRR project analysis")
-    irr.add_argument("files", nargs="+", help="project JSON file(s): {\"name\": ..., \"cashflows\": [...]}")
-    irr.add_argument("--compare", action="store_true", help="pairwise comparison of two projects")
-    irr.add_argument("--npv-at", type=_finite_list, default=None, metavar="R1,R2,...", help="rates at which to report NPV")
-    irr.add_argument(
-        "--bounds",
-        type=_finite_list,
-        default=None,
-        metavar="LO,HI",
-        help="search interval for every IRR and the --compare cutoff (default -0.999,10)",
+def _fill_value(p: argparse.ArgumentParser, form: str) -> None:
+    _add_common(p)
+    if form in ("offset", "straight-line"):
+        p.add_argument("--d", type=_finite, required=True, help="first-period income")
+        if form == "offset":
+            p.add_argument("--h", type=_finite, required=True, help="decrement scale on the generated terms")
+        else:
+            p.add_argument("--h", type=_finite, required=True, help="constant decline per period (negative rises)")
+    if form in ("recurrence", "offset"):
+        for flag, hint in (("--m", "multiplier"), ("--b", "increment"), ("--c", "seed value y_0")):
+            p.add_argument(flag, type=_finite, required=True, help=hint)
+    elif form == "growth":
+        p.add_argument("--g", type=_finite, required=True, help="growth rate per period")
+    elif form == "hoskold":
+        p.add_argument("--income", type=_finite, required=True, help="first-year income")
+        p.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
+    p.add_argument("--i", type=_finite, required=True, help="discount rate per period")
+    p.add_argument("--n", type=int, required=True, help="number of periods")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="propval",
+        description="Income-property valuation calculations.",
+        allow_abbrev=False,
     )
-    irr.set_defaults(handler=_cmd_irr)
-
+    _add_commands(parser, "command", _fill_command, {
+        "tvm": "compound interest factor functions",
+        "amort": "amortization schedules",
+        "caprate": "direct capitalization rates",
+        "value": "present value of changing income streams",
+        "irr": "NPV / IRR project analysis",
+    })
     return parser
+
+
+_HANDLERS = {"tvm": _cmd_tvm, "amort": _cmd_amort, "caprate": _cmd_caprate, "value": _cmd_value, "irr": _cmd_irr}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -419,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args, _places_from(args))
+        return _HANDLERS[args.command](args, _places_from(args))
     except InputFileError as exc:
         print(f"propval: error: {exc}", file=sys.stderr)
         return 2

@@ -29,8 +29,8 @@ NPV out of floating-point range raises OverflowError in every renderer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .render import align_table, format_fixed, format_percent
 
 __all__ = [
@@ -61,20 +61,18 @@ _EPS = 2.0**-53  # unit roundoff of a double
 _MAX_SOLVE_STEPS = 200
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(record("Project", "name cashflows")):
     """Named cash-flow series; cashflows[t] lands at the end of period t."""
 
-    name: str
-    cashflows: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        flows = tuple(float(c) for c in self.cashflows)
-        object.__setattr__(self, "cashflows", flows)
+    def __new__(cls, name: str, cashflows) -> Project:
+        flows = tuple(float(c) for c in cashflows)
         if len(flows) < 2:
             raise ValueError("a project needs at least two cash flows")
         if not all(math.isfinite(c) for c in flows):
             raise ValueError("cash flows must be finite")
+        return super().__new__(cls, name, flows)
 
     @property
     def gross(self) -> float:
@@ -82,41 +80,49 @@ class Project:
         return math.fsum(abs(c) for c in self.cashflows)
 
 
-@dataclass(frozen=True)
-class IrrResult:
-    """Every discount rate in search_bounds that zeroes the project's NPV."""
+class IrrResult(record("IrrResult", "roots classification search_bounds")):
+    """Every discount rate in search_bounds that zeroes the project's NPV.
 
-    roots: tuple[float, ...]
-    classification: str  # 'unique' | 'multiple' | 'none'
-    search_bounds: tuple[float, float]
+    roots is a tuple of rates, classification is 'unique', 'multiple' or
+    'none', and search_bounds is the (lo, hi) pair searched.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(
+    record(
+        "ComparisonReport",
+        [
+            "first",
+            "second",
+            "difference_project",
+            "first_irr",
+            "second_irr",
+            "difference_irr",
+            "cutoff_rate",
+            "preferred_below",
+            "preferred_above",
+            "orientation_valid",
+            "degenerate",
+        ],
+        defaults=(False,),
+    )
+):
     """Outcome of a pairwise choice via the difference project.
 
     difference_project is oriented with the later-paying project first so
     its NPV slopes downward; cutoff_rate is that project's unique IRR when
-    one exists in bounds. preferred_below names the better project for
-    discount rates under the cutoff. orientation_valid is False when
-    neither subtraction order has a guaranteed-decreasing NPV, and
+    one exists in bounds, else None. preferred_below names the better
+    project for discount rates under the cutoff. orientation_valid is False
+    when neither subtraction order has a guaranteed-decreasing NPV, and
     degenerate marks identical inputs. first_irr, second_irr and
     difference_irr are the IRR searches behind the report, all in the same
     bounds; difference_irr is None for identical inputs, whose difference
     has no nonzero flow.
     """
 
-    first: Project
-    second: Project
-    difference_project: Project
-    first_irr: IrrResult
-    second_irr: IrrResult
-    difference_irr: IrrResult | None
-    cutoff_rate: float | None
-    preferred_below: str | None
-    preferred_above: str | None
-    orientation_valid: bool
-    degenerate: bool = False
+    __slots__ = ()
 
 
 def npv(project: Project, rate: float) -> float:
@@ -360,11 +366,14 @@ def compare_pairwise(
     one with a guaranteed-decreasing NPV is kept, putting the later-paying
     project first. Its unique IRR in bounds is the cutoff: the later payer
     is preferred at discount rates below it, the other project above it.
-    Every IRR in the report is searched once, in bounds.
+    Every IRR in the report is searched once, in bounds. A difference of
+    two finite flows that overflows raises OverflowError.
     """
-    first_irr, second_irr = irr_all(p1, bounds), irr_all(p2, bounds)
     length = max(len(p1.cashflows), len(p2.cashflows))
     diff12 = tuple(a - b for a, b in zip(_padded(p1, length), _padded(p2, length)))
+    if not all(map(math.isfinite, diff12)):
+        raise OverflowError("the difference of the two projects' cash flows is out of floating-point range")
+    first_irr, second_irr = irr_all(p1, bounds), irr_all(p2, bounds)
     proj12 = Project(f"{p1.name}-{p2.name}", diff12)
     proj21 = Project(f"{p2.name}-{p1.name}", tuple(-c for c in diff12))
     if npv_slope_class(proj12) == "decreasing":

@@ -13,8 +13,8 @@ declining streams behind the Ring and Hoskold capitalization methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .timevalue import (
     accumulation,
     annuity_pv,
@@ -43,23 +43,20 @@ __all__ = [
 _DISPATCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(record("RecurrenceSpec", "multiplier increment seed")):
     """Generator y_0 = seed, y_k = multiplier * y_(k-1) + increment."""
 
-    multiplier: float
-    increment: float
-    seed: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in ("multiplier", "increment", "seed"):
-            value = getattr(self, field)
+    def __new__(cls, multiplier: float, increment: float, seed: float) -> RecurrenceSpec:
+        self = super().__new__(cls, multiplier, increment, seed)
+        for field, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{field} must be finite, got {value!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class OffsetStreamSpec:
+class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurrence")):
     """Stream d, d - y_1*h, d - y_2*h, ... built off a recurrence.
 
     first_income is d; decrement is h, the amount each generated y_k shaves
@@ -67,17 +64,16 @@ class OffsetStreamSpec:
     rising stream.
     """
 
-    first_income: float
-    decrement: float
-    recurrence: RecurrenceSpec
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.first_income):
-            raise ValueError(f"first_income must be finite, got {self.first_income!r}")
-        if not math.isfinite(self.decrement):
-            raise ValueError(f"decrement must be finite, got {self.decrement!r}")
-        if self.recurrence.multiplier == 0.0:
+    def __new__(cls, first_income: float, decrement: float, recurrence: RecurrenceSpec) -> OffsetStreamSpec:
+        if not math.isfinite(first_income):
+            raise ValueError(f"first_income must be finite, got {first_income!r}")
+        if not math.isfinite(decrement):
+            raise ValueError(f"decrement must be finite, got {decrement!r}")
+        if recurrence.multiplier == 0.0:
             raise ValueError("offset streams need a nonzero recurrence multiplier")
+        return super().__new__(cls, first_income, decrement, recurrence)
 
 
 def recurrence_terms(spec: RecurrenceSpec, n: int) -> list[float]:

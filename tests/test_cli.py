@@ -374,6 +374,18 @@ class TestErrorContract:
         assert "floating-point range" in err
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_overflowing_comparison_exit_1(self, run, tmp_path, fmt):
+        # each project is finite; their difference is not
+        paths = []
+        for name, sign in (("H", 1.0), ("N", -1.0)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "cashflows": [sign * c for c in (-1e308, 1e308, 1e308)]}))
+            paths.append(str(path))
+        code, out, err = run("irr", *paths, "--compare", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "propval: error: a result is out of floating-point range\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_nonfinite_npv_exit_1(self, run, tmp_path, fmt):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"name": "H", "cashflows": [-1e308, 1e308, 1e308]}))
@@ -428,24 +440,38 @@ def test_package_import_loads_no_module():
     assert {name for name in _loaded_after("import propval") if name.startswith("propval")} == {"propval"}
 
 
+# records are named tuples, so no call pays for dataclasses and the inspect module it loads
+NEVER_LOADED = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
         (
             ["tvm", "annuity", "--rate", "0.1", "--n", "10"],
             {"propval.projects", "propval.amortization", "propval.capitalization", "propval.recurrence",
-             "decimal", "json", "dataclasses"},
+             "decimal", "json"},
         ),
         # the last row's ending balance is a tiny negative that prints as 0.00
         (["amort", "level", "--pv", "1000", "--i", "0.01", "--n", "12", "--format", "table"],
          {"decimal", "json", "propval.projects"}),
+        (
+            ["caprate", "ellwood-j", "--m", "0.7", "--i", "0.09", "--months", "300", "--hold", "10",
+             "--y", "0.14", "--delta", "0.2"],
+            {"propval.projects", "propval.amortization", "json"},
+        ),
+        (
+            ["value", "offset", "--d", "100", "--h", "1", "--m", "1.1", "--b", "0", "--c", "1",
+             "--i", "0.1", "--n", "5", "--format", "csv"],
+            {"propval.projects", "propval.amortization", "propval.capitalization", "json"},
+        ),
         (["irr", "PROJECT", "--npv-at", "0.1"], {"propval.amortization"}),
     ],
-    ids=["tvm", "amort-level-table", "irr"],
+    ids=["tvm", "amort-level-table", "caprate-ellwood-j", "value-offset", "irr"],
 )
 def test_cli_call_loads_only_what_it_uses(tmp_path, argv, unloaded):
     project = tmp_path / "A.json"
     project.write_text(json.dumps({"name": "A", "cashflows": [-1000, 200, 200, 1200]}))
     argv = [str(project) if arg == "PROJECT" else arg for arg in argv]
     loaded = _loaded_after(f"from propval.cli import main; assert main({argv!r}) == 0")
-    assert loaded & unloaded == set()
+    assert loaded & (unloaded | NEVER_LOADED) == set()

@@ -285,6 +285,13 @@ class TestComparePairwise:
         with pytest.raises(OverflowError):
             render(huge, irr_all(huge), (0.1, -0.9))
 
+    def test_overflowing_difference_is_out_of_range(self):
+        huge = Project("H", (-1e308, 1e308, 1e308))
+        with pytest.raises(OverflowError):
+            compare_pairwise(huge, negate(huge))
+        with pytest.raises(OverflowError):
+            compare_pairwise(negate(huge), huge)
+
     def test_unorientable_pair(self):
         p1 = Project("p1", (-100, 300, -100, 50))
         p2 = Project("p2", (-100, 50, 160, 40))
