@@ -5,7 +5,10 @@ paydown, sinking-fund recovery), direct capitalization rates (band of
 investment, mortgage-equity, safe-rate and straight-line recovery),
 closed-form valuation of changing income streams, and NPV/IRR project
 analysis. Everything is a pure function over plain floats and small
-frozen dataclasses.
+immutable records: named tuples that validate when built, _replace and
+_make included. Use _replace and _asdict where dataclasses.replace and
+asdict served before; a record compares equal to a plain tuple that
+holds the same values.
 
 The package loads each module on first use (PEP 562): `import propval`
 imports none of them, and `propval.irr_all` imports only `propval.projects`

@@ -353,7 +353,7 @@ def _fill_command(p: argparse.ArgumentParser, command: str) -> None:
             "accumulation": "stream of accumulation factors s_1..s_n",
             "hoskold": "safe-rate declining stream value",
         })
-    else:
+    else:  # irr
         _add_common(p)
         p.add_argument("files", nargs="+", help="project JSON file(s): {\"name\": ..., \"cashflows\": [...]}")
         p.add_argument("--compare", action="store_true", help="pairwise comparison of two projects")
@@ -378,7 +378,7 @@ def _fill_amort(p: argparse.ArgumentParser, kind: str) -> None:
     elif kind == "general":
         p.add_argument("--file", required=True, help="JSON file with the principal reductions")
         p.add_argument("--i", type=_finite, required=True, help="rate per period")
-    else:
+    else:  # sinking
         p.add_argument("--v", type=_finite, required=True, help="capital to recover")
         p.add_argument("--i", type=_finite, required=True, help="discount rate per period")
         p.add_argument("--r", type=_finite, required=True, help="sinking fund rate per period")

@@ -27,7 +27,7 @@ from propval import (
     AppreciationSpec,
     MortgageTerms,
 )
-from propval.cli import main
+from propval.cli import build_parser, main
 from propval.render import format_fixed, format_percent
 
 
@@ -419,6 +419,20 @@ class TestDeterminismAndExitCodes:
         code, out, _ = run("--help")
         assert code == 0
         assert "tvm" in out
+
+    def test_one_parser_parses_every_command_again_and_again(self):
+        # subcommand parsers are filled in on first use; reuse must not change a result
+        commands = [
+            ["tvm", "bal", "--rate", "0.01", "--n", "360", "--k", "120"],
+            ["amort", "sinking", "--v", "1000", "--i", "0.1", "--r", "0.05", "--n", "5", "--format", "csv"],
+            ["caprate", "ellwood", "--m", "0.7", "--i", "0.09", "--months", "300", "--hold", "10", "--y", "0.14"],
+            ["caprate", "hoskold", "--i", "0.1", "--is", "0.03", "--n", "10", "--precision", "6"],
+            ["value", "offset", "--d", "100", "--h", "1", "--m", "1.1", "--b", "0", "--c", "1", "--i", "0.1", "--n", "5"],
+            ["irr", "A.json", "B.json", "--compare", "--npv-at", "0.1,0.12", "--bounds", "0,1"],
+        ]
+        parser = build_parser()
+        for argv in commands + commands[::-1]:
+            assert parser.parse_args(argv) == build_parser().parse_args(argv)
 
 
 def _loaded_after(code: str) -> set[str]:
