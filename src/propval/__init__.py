@@ -12,14 +12,16 @@ holds the same values.
 
 The package loads each module on first use (PEP 562): `import propval`
 imports none of them, and `propval.irr_all` imports only `propval.projects`
-and what it needs.
+and what it needs. _EXPORTS below is the only list of public names: each
+module sets its __all__ from its entry, so a function is made public by
+adding its name there.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# module -> the public names it contributes, in the order of __all__
+# module -> the public names it contributes; each module's __all__ is read from here
 _EXPORTS = {
     "timevalue": (
         "compound_amount",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from ._record import record
 from .render import MAX_PLACES, _float_rounding_agrees, align_table, format_fixed
 from .timevalue import (
@@ -26,18 +27,7 @@ from .timevalue import (
     _check_rate,
 )
 
-__all__ = [
-    "AmortizationRow",
-    "AmortizationSchedule",
-    "level_schedule",
-    "generalized_schedule",
-    "sinking_fund_schedule",
-    "verify_main_theorem",
-    "schedule_to_csv",
-    "schedule_to_table",
-    "schedule_to_dict",
-    "schedule_to_json",
-]
+__all__ = list(_EXPORTS["amortization"])
 
 COLUMNS = ["period", "payment", "interest", "principal_reduction", "ending_balance"]
 
@@ -74,8 +64,8 @@ def level_schedule(principal: float, rate: float, n: int) -> AmortizationSchedul
     balance, so the principal reductions grow by (1 + rate) each period
     and the final payment retires the loan.
     """
-    if not principal > 0.0:
-        raise ValueError(f"principal must be positive, got {principal!r}")
+    if not 0.0 < principal < math.inf:
+        raise ValueError(f"principal must be positive and finite, got {principal!r}")
     rate = _check_rate(rate)
     n = _check_periods(n)
     payment = principal * installment_to_amortize(rate, n)
@@ -132,8 +122,8 @@ def sinking_fund_schedule(
     back the level schedule; r = 0 drops income by a constant
     rate * principal / n each period.
     """
-    if not principal > 0.0:
-        raise ValueError(f"principal must be positive, got {principal!r}")
+    if not 0.0 < principal < math.inf:
+        raise ValueError(f"principal must be positive and finite, got {principal!r}")
     rate = _check_rate(rate)
     if recovery_rate < 0.0:
         raise ValueError(f"recovery_rate must be >= 0, got {recovery_rate!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from ._record import record
 from .recurrence import ellwood_j_factor
 from .timevalue import (
@@ -23,21 +24,7 @@ from .timevalue import (
     _check_rate,
 )
 
-__all__ = [
-    "MortgageTerms",
-    "AppreciationSpec",
-    "EllwoodRate",
-    "perpetuity_value",
-    "capitalize",
-    "rate_from",
-    "adjusted_cap_rate",
-    "band_of_investment",
-    "band_with_mortgage_constant",
-    "mortgage_constant",
-    "ellwood_cap_rate",
-    "ellwood_j_cap_rate",
-    "recovery_cap_rate",
-]
+__all__ = list(_EXPORTS["capitalization"])
 
 RECOVERY_METHODS = ("ring", "hoskold", "annuity")
 

@@ -6,7 +6,8 @@ Subcommands: tvm, amort, caprate, value, irr. Every subcommand accepts
 --format {table,csv,json} and --precision N (irr ignores the latter).
 Rates are decimal fractions (0.10, never 10). Exit codes: 0 success,
 1 usage or parameter error (a non-finite number in argv, or a result out
-of floating-point range, included), 2 unreadable or malformed input file.
+of floating-point range, included), 2 unreadable or malformed input file
+(a non-finite number in one included).
 
 Output conventions: table format prints bare scalars (or name/value lines
 when a result has a breakdown) and renders IRRs as percentages; csv prints
@@ -20,7 +21,7 @@ import argparse
 import math
 import sys
 
-from .render import format_fixed
+from .render import MAX_PLACES, format_fixed
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -71,8 +72,8 @@ def _places_from(args: argparse.Namespace) -> dict[str, int]:
     """Display decimals by value kind: 2 for money and 4 for rates, or --precision for both."""
     if args.precision is None:
         return {"money": 2, "rate": 4}
-    if not 0 <= args.precision <= 12:
-        raise ValueError(f"--precision must be in 0..12, got {args.precision}")
+    if not 0 <= args.precision <= MAX_PLACES:
+        raise ValueError(f"--precision must be in 0..{MAX_PLACES}, got {args.precision}")
     return {"money": args.precision, "rate": args.precision}
 
 
@@ -136,7 +137,10 @@ def _load_reductions_file(path: str) -> list[float]:
         )
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
         raise InputFileError(f"{path}: principal reductions must all be numbers")
-    return [float(x) for x in data]
+    reductions = [float(x) for x in data]
+    if not all(map(math.isfinite, reductions)):
+        raise InputFileError(f"{path}: principal reductions must be finite")
+    return reductions
 
 
 # ---------------------------------------------------------------------------

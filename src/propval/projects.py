@@ -30,28 +30,11 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from ._record import record
 from .render import align_table, format_fixed, format_percent
 
-__all__ = [
-    "Project",
-    "IrrResult",
-    "ComparisonReport",
-    "DEFAULT_IRR_BOUNDS",
-    "npv",
-    "irr_all",
-    "negate",
-    "npv_slope_class",
-    "profitability_test",
-    "compare_pairwise",
-    "project_from_dict",
-    "analysis_to_dict",
-    "analysis_table",
-    "analysis_csv",
-    "comparison_to_dict",
-    "comparison_table",
-    "comparison_csv",
-]
+__all__ = list(_EXPORTS["projects"])
 
 DEFAULT_IRR_BOUNDS = (-0.999, 10.0)
 # isolation stops at nodes this narrow in rate; closer roots are reported once
@@ -59,6 +42,10 @@ ROOT_RESOLUTION = 1e-6
 ROOT_TOL = 1e-9
 _EPS = 2.0**-53  # unit roundoff of a double
 _MAX_SOLVE_STEPS = 200
+# charts whose values and slopes sum past this are rescaled first, so that
+# sums of a few of them, and second derivatives (at most n times a slope),
+# stay finite; ordinary flows come nowhere near it
+_SCALE_LIMIT = 2.0**1000
 
 
 class Project(record("Project", "name cashflows")):
@@ -127,8 +114,8 @@ class ComparisonReport(
 
 def npv(project: Project, rate: float) -> float:
     """Net present value at the given rate: sum of C_t / (1+r)^t."""
-    if not rate > -1.0:
-        raise ValueError(f"rate must exceed -1, got {rate!r}")
+    if not -1.0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and exceed -1, got {rate!r}")
     factor = 1.0
     total = project.cashflows[0]
     for flow in project.cashflows[1:]:
@@ -213,6 +200,13 @@ def _chart_roots(coeffs, x_lo: float, x_hi: float, to_rate, unique: bool) -> lis
         return x, vp, vm, dp, dm
 
     lo_pt, hi_pt = point(x_lo), point(x_hi)
+    _, vp, vm, dp, dm = hi_pt
+    if vp + vm + dp + dm > _SCALE_LIMIT:
+        # p+, p- and their slopes increase on (0, 1], so their values at x_hi
+        # bound every node's; a power-of-two scale moves no root and rounds
+        # nothing unless a coefficient becomes subnormal
+        shift = -math.frexp(max(map(abs, coeffs)))[1]
+        return _chart_roots([math.ldexp(c, shift) for c in coeffs], x_lo, x_hi, to_rate, unique)
     # an end where p is zero within rounding error is a root: the search
     # bound, or r = 0 where the two charts meet
     roots = [to_rate(x) for x, vp, vm, _, _ in (lo_pt, hi_pt) if abs(vp - vm) <= tol * (vp + vm)]

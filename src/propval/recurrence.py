@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from ._record import record
 from .timevalue import (
     accumulation,
@@ -23,20 +24,7 @@ from .timevalue import (
     _check_rate,
 )
 
-__all__ = [
-    "RecurrenceSpec",
-    "OffsetStreamSpec",
-    "recurrence_terms",
-    "recurrence_term",
-    "value_recurrence_stream",
-    "value_offset_stream",
-    "straight_line_annuity_value",
-    "constant_ratio_annuity_value",
-    "accumulation_stream_value",
-    "ellwood_j_factor",
-    "hoskold_stream_value",
-    "hoskold_income_stream",
-]
+__all__ = list(_EXPORTS["recurrence"])
 
 # Closed-form dispatch window: multipliers this close to 1 (or to 1+i) take
 # the degenerate branch instead of dividing by a vanishing m-1 or i-m gap.
@@ -133,8 +121,6 @@ def value_offset_stream(spec: OffsetStreamSpec, rate: float, n: int) -> float:
     rate = _check_rate(rate)
     n = _check_periods(n)
     m, b, c = spec.recurrence.multiplier, spec.recurrence.increment, spec.recurrence.seed
-    if m == 0.0:
-        raise ValueError("offset streams need a nonzero recurrence multiplier")
     d, h = spec.first_income, spec.decrement
     v_n = value_recurrence_stream(spec.recurrence, rate, n)
     a_n = annuity_pv(rate, n)
@@ -147,6 +133,8 @@ def straight_line_annuity_value(d: float, h: float, rate: float, n: int) -> floa
     [d - nh] a_n + h(n - a_n)/i for a nonzero rate; a negative h values a
     stream rising by a constant amount.
     """
+    if not (math.isfinite(d) and math.isfinite(h)):
+        raise ValueError(f"d and h must be finite, got {d!r} and {h!r}")
     rate = _check_rate(rate)
     n = _check_periods(n)
     if abs(rate) < _DISPATCH_TOL:
@@ -193,8 +181,10 @@ def ellwood_j_factor(rate: float, n: int) -> float:
     n = _check_periods(n)
     if rate == 0.0:
         raise ValueError("rate must be nonzero")
-    s_n = accumulation(rate, n)
-    return (n / (1.0 - (1.0 + rate) ** (-n)) - 1.0 / rate) / s_n
+    denom = 1.0 - (1.0 + rate) ** (-n)
+    if denom == 0.0:
+        raise ValueError(f"rate {rate!r} is too close to zero: 1 - (1+i)^-n rounds to 0")
+    return (n / denom - 1.0 / rate) / accumulation(rate, n)
 
 
 def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -> float:
@@ -205,6 +195,8 @@ def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -
     stream itself (see hoskold_income_stream) declines by the compounding
     interest losses of recovering capital at the safe rate.
     """
+    if not math.isfinite(income):
+        raise ValueError(f"income must be finite, got {income!r}")
     rate = _check_rate(rate)
     if safe_rate < 0.0:
         raise ValueError(f"safe_rate must be >= 0, got {safe_rate!r}")

@@ -17,16 +17,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = [
-    "compound_amount",
-    "pv_reversion",
-    "annuity_pv",
-    "installment_to_amortize",
-    "accumulation",
-    "sinking_fund_factor",
-    "balance_fraction",
-    "portion_paid",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["timevalue"])
 
 
 def _check_finite(value: float, name: str) -> float:

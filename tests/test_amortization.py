@@ -72,6 +72,11 @@ class TestLevelSchedule:
         with pytest.raises(ValueError):
             level_schedule(0.0, 0.05, 12)
 
+    @pytest.mark.parametrize("principal", [math.inf, math.nan])
+    def test_rejects_non_finite_principal(self, principal):
+        with pytest.raises(ValueError, match="principal must be positive and finite"):
+            level_schedule(principal, 0.1, 3)
+
 
 class TestGeneralizedSchedule:
     def test_single_period(self):
@@ -193,6 +198,11 @@ class TestSinkingFundSchedule:
     def test_rejects_negative_fund_rate(self):
         with pytest.raises(ValueError):
             sinking_fund_schedule(1000, 0.10, -0.05, 10)
+
+    @pytest.mark.parametrize("principal", [math.inf, math.nan])
+    def test_rejects_non_finite_principal(self, principal):
+        with pytest.raises(ValueError, match="principal must be positive and finite"):
+            sinking_fund_schedule(principal, 0.10, 0.05, 10)
 
 
 class TestSerialization:

@@ -158,6 +158,16 @@ class TestAmort:
         assert code == 2
         assert "principal reductions" in err
 
+    @pytest.mark.parametrize("text", ["[1e400, 100]", "[100, NaN]", '{"principal_reductions": [-Infinity, 1]}'])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_non_finite_reduction_is_input_error(self, run, tmp_path, text, fmt):
+        # exit 2, as a non-finite cash flow in an irr project file does
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run("amort", "general", "--file", str(path), "--i", "0.10", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"propval: error: {path}: principal reductions must be finite\n"
+
 
 class TestCaprate:
     def test_band_scalar(self, run):
@@ -349,8 +359,19 @@ class TestErrorContract:
             (["caprate", "band", "--m", "0.7", "--i", "nan", "--y", "0.12"], "finite number"),
             (["irr", "A", "--npv-at", "0.1,inf"], "finite number"),
             (["irr", "A", "--bounds=0.1,inf"], "finite number"),
+            (
+                [
+                    "caprate", "ellwood-j", "--m", "1e-300", "--i", "0", "--months", "360", "--hold", "1",
+                    "--y", "1e-300", "--delta0", "-1", "--delta", "-0.999",
+                ],
+                "too close to zero",
+            ),
+            (["tvm", "annuity", "--rate", "0.1", "--n", "5", "--precision", "13"], "--precision must be in 0..12"),
         ],
-        ids=["tvm-overflow", "value-overflow", "amort-overflow", "infinite-result", "nan-option", "npv-at-inf", "bounds-inf"],
+        ids=[
+            "tvm-overflow", "value-overflow", "amort-overflow", "infinite-result", "nan-option", "npv-at-inf",
+            "bounds-inf", "ellwood-j-tiny-yield", "precision-too-large",
+        ],
     )
     def test_clean_error_exit_1(self, run, project_files, argv, message):
         code, out, err = run(*(project_files.get(arg, arg) for arg in argv))

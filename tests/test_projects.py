@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestNpv:
     def test_rejects_rate_at_minus_one(self, project_a):
         with pytest.raises(ValueError):
             npv(project_a, -1.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_non_finite_rate(self, project_a, rate):
+        # an infinite rate used to discount every later flow to zero and return C_0
+        with pytest.raises(ValueError, match="finite"):
+            npv(project_a, rate)
 
     def test_project_needs_two_flows(self):
         with pytest.raises(ValueError):
@@ -146,6 +153,33 @@ class TestIrrHardCases:
             assert abs(npv(balloon, root)) <= 1e-6 * balloon.gross
             assert npv(balloon, root - 1e-5) * npv(balloon, root + 1e-5) < 0.0
         assert sign_scan_root_count(balloon.cashflows, -0.2, 0.2) == 2
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            (-1.0, 1.0, 1.0),
+            (-1000.0, 1450.0, 1500.0, -2200.0),
+            (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0),
+            (-1.0,) + (0.05,) * 58 + (1.0,),
+            (-1000.0,) + (30.0,) * 359 + (-12000.0,),
+        ],
+        ids=["len3", "len4", "len7", "len60", "len361"],
+    )
+    def test_flows_near_the_double_limit(self, base):
+        # the largest flow is 1e308, so the NPV near r = 0 overflows; scaling
+        # every flow by one power of two leaves the IRRs as they are
+        peak = max(map(abs, base))
+        huge = Project("H", [c / peak * 1e308 for c in base])
+        scaled = Project("S", [math.ldexp(c, -1000) for c in huge.cashflows])
+        assert irr_all(huge) == irr_all(scaled)
+        assert irr_all(huge).roots == pytest.approx(irr_all(Project("B", base)).roots, abs=1e-12)
+
+    def test_golden_ratio_at_the_double_limit(self):
+        # -1 + x + x^2 = 0 in x = 1/(1+r): r = (1 + sqrt 5)/2 - 1 at every scale
+        golden = (1.0 + math.sqrt(5.0)) / 2.0 - 1.0
+        for scale in (1.0, 1e307, 1e308, 1.7e308):
+            roots = irr_all(Project("H", (-scale, scale, scale))).roots
+            assert roots == pytest.approx((golden,), abs=1e-15)
 
     @pytest.mark.parametrize("bounds", [(0.12, 1.0), (-0.5, 0.12)])
     def test_root_on_a_bound_is_found(self, project_c, bounds):

@@ -185,6 +185,11 @@ class TestStraightLineAnnuity:
                 value_offset_stream(spec, i, n), rel=1e-11
             )
 
+    @pytest.mark.parametrize("d, h", [(math.nan, 10.0), (100.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_non_finite_amounts(self, d, h):
+        with pytest.raises(ValueError, match="must be finite"):
+            straight_line_annuity_value(d, h, 0.10, 4)
+
 
 class TestConstantRatioAnnuity:
     def test_no_growth_is_annuity(self):
@@ -260,6 +265,12 @@ class TestEllwoodJFactor:
         with pytest.raises(ValueError):
             ellwood_j_factor(0.0, 5)
 
+    @pytest.mark.parametrize("rate, n", [(1e-300, 1), (1e-300, 360), (1e-17, 5), (-1e-17, 5)])
+    def test_rejects_rate_whose_discount_rounds_away(self, rate, n):
+        # 1 - (1+i)^-n rounds to 0, which would divide by zero
+        with pytest.raises(ValueError, match="too close to zero"):
+            ellwood_j_factor(rate, n)
+
 
 class TestHoskoldStream:
     def test_safe_rate_equal_discount_is_annuity(self):
@@ -302,3 +313,8 @@ class TestHoskoldStream:
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
             hoskold_stream_value(100, -0.5, 0.0, 2)
+
+    @pytest.mark.parametrize("income", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_income(self, income):
+        with pytest.raises(ValueError, match="income must be finite"):
+            hoskold_stream_value(income, 0.10, 0.03, 10)
