@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propval import (
     AppreciationSpec,
+    EllwoodRate,
     MortgageTerms,
     adjusted_cap_rate,
     annuity_pv,
+    balance_fraction,
     band_of_investment,
     band_with_mortgage_constant,
     capitalize,
     ellwood_cap_rate,
     ellwood_j_cap_rate,
+    ellwood_j_factor,
     hoskold_stream_value,
     mortgage_constant,
     perpetuity_value,
@@ -303,3 +308,55 @@ def test_rejects_nonfinite_arguments(fn, args, position, bad):
     with pytest.raises(ValueError):
         fn(*args[:position], bad, *args[position + 1 :])
 
+
+
+def composed_ellwood(terms, equity_yield, change):
+    """EllwoodRate assembled from the public factor functions, term by term."""
+    m, h = terms.loan_to_value, terms.holding_years
+    r_m = mortgage_constant(terms.annual_rate, terms.amortization_months)
+    bal = balance_fraction(12 * h, terms.amortization_months, terms.annual_rate / 12.0)
+    paid = 1.0 - bal
+    sff = sinking_fund_factor(equity_yield, h)
+    c_factor = equity_yield + paid * sff - r_m
+    rate = equity_yield - m * c_factor - change * sff
+    akerson = m * r_m + (1.0 - m) * equity_yield - m * paid * sff - change * sff
+    return EllwoodRate(rate, c_factor, r_m, paid, bal, sff, akerson)
+
+
+@st.composite
+def ellwood_inputs(draw):
+    hold = draw(st.integers(1, 40))
+    # a loan that ends with the hold leaves a balance of exactly zero
+    months = 12 * hold + draw(st.one_of(st.just(0), st.integers(0, 360)))
+    annual_rate = draw(st.one_of(st.just(0.0), st.floats(-0.5, 1.0)))
+    terms = MortgageTerms(draw(st.floats(0.0, 1.0)), annual_rate, months, hold)
+    equity_yield = draw(st.one_of(st.floats(-0.5, -1e-3), st.floats(1e-3, 1.0)))
+    change = AppreciationSpec(draw(st.floats(-1.0, 1.0)), draw(st.floats(-0.5, 0.5)))
+    return terms, equity_yield, change
+
+
+class TestEllwoodBitIdentity:
+    """The Ellwood rates equal, bit for bit, the composition of the public
+    factor functions they are defined by."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ellwood_inputs())
+    def test_constant_income(self, inputs):
+        terms, equity_yield, change = inputs
+        result = ellwood_cap_rate(terms, equity_yield, change)
+        assert result == composed_ellwood(terms, equity_yield, change.asset_change)
+        if 12 * terms.holding_years == terms.amortization_months:
+            assert result.balance_fraction == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(ellwood_inputs(), st.one_of(st.none(), st.integers(1, 40)))
+    def test_changing_income(self, inputs, n_for_j):
+        terms, equity_yield, change = inputs
+        base = composed_ellwood(terms, equity_yield, change.asset_change)
+        j = ellwood_j_factor(equity_yield, terms.holding_years if n_for_j is None else n_for_j)
+        denom = 1.0 + change.income_change * j
+        expected = base._replace(
+            rate=base.rate / denom, akerson_rate=base.akerson_rate / denom, j_factor=j,
+            income_change=change.income_change,
+        )
+        assert ellwood_j_cap_rate(terms, equity_yield, change, n_for_j) == expected
