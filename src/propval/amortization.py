@@ -19,13 +19,8 @@ import math
 
 from . import _EXPORTS
 from ._record import record
-from .render import MAX_PLACES, _float_rounding_agrees, align_table, format_fixed
-from .timevalue import (
-    installment_to_amortize,
-    sinking_fund_factor,
-    _check_periods,
-    _check_rate,
-)
+from .render import _float_rounding_agrees, align_table, _check_places, format_fixed
+from .timevalue import _annuity, _check_periods, _check_rate, _sff
 
 __all__ = list(_EXPORTS["amortization"])
 
@@ -68,7 +63,7 @@ def level_schedule(principal: float, rate: float, n: int) -> AmortizationSchedul
         raise ValueError(f"principal must be positive and finite, got {principal!r}")
     rate = _check_rate(rate)
     n = _check_periods(n)
-    payment = principal * installment_to_amortize(rate, n)
+    payment = principal * (1.0 / _annuity(rate, n))
     rows = []
     balance = principal
     for period in range(1, n + 1):
@@ -128,7 +123,7 @@ def sinking_fund_schedule(
     if recovery_rate < 0.0:
         raise ValueError(f"recovery_rate must be >= 0, got {recovery_rate!r}")
     n = _check_periods(n)
-    sff = sinking_fund_factor(recovery_rate, n)
+    sff = _sff(_check_rate(recovery_rate), n)  # the test above passes nan and inf
     deposit = sff * principal
     rows = []
     fund_prev = 0.0  # s(k-1, r): accumulation factor of the fund so far
@@ -185,8 +180,7 @@ def schedule_to_csv(schedule: AmortizationSchedule) -> str:
 
 def schedule_to_table(schedule: AmortizationSchedule, places: int) -> str:
     """Render rows as aligned columns, amounts rounded to places decimals."""
-    if places < 0 or places > MAX_PLACES:
-        raise ValueError(f"places must be in 0..{MAX_PLACES}, got {places!r}")
+    _check_places(places)
     return align_table([COLUMNS] + [_row_cells(row, places) for row in schedule.rows])
 
 

@@ -15,14 +15,7 @@ import math
 from . import _EXPORTS
 from ._record import record
 from .recurrence import ellwood_j_factor
-from .timevalue import (
-    balance_fraction,
-    installment_to_amortize,
-    sinking_fund_factor,
-    _check_finite,
-    _check_periods,
-    _check_rate,
-)
+from .timevalue import _annuity, _check_finite, _check_periods, _check_rate, _sff
 
 __all__ = list(_EXPORTS["capitalization"])
 
@@ -138,7 +131,7 @@ def adjusted_cap_rate(rate: float, n: int, asset_change: float) -> float:
     rate = _check_rate(rate)
     n = _check_periods(n)
     _check_finite(asset_change, "asset_change")
-    return rate - asset_change * sinking_fund_factor(rate, n)
+    return rate - asset_change * _sff(rate, n)
 
 
 def band_of_investment(loan_to_value: float, debt_rate: float, equity_yield: float) -> float:
@@ -173,7 +166,7 @@ def band_with_mortgage_constant(
 def mortgage_constant(annual_rate: float, amortization_months: int) -> float:
     """Annual debt service per unit of loan: 12 / a(months, rate/12)."""
     amortization_months = _check_periods(amortization_months, name="amortization_months")
-    return 12.0 * installment_to_amortize(annual_rate / 12.0, amortization_months)
+    return 12.0 * (1.0 / _annuity(_check_rate(annual_rate / 12.0), amortization_months))
 
 
 def ellwood_cap_rate(
@@ -190,25 +183,20 @@ def ellwood_cap_rate(
     regrouping M*Rm + (1-M)Y - M*P*SFF - change*SFF.
     """
     equity_yield = _check_rate(equity_yield, name="equity_yield")
-    m = terms.loan_to_value
-    h = terms.holding_years
+    # the record validated its fields, so they go to the kernels unchecked
+    m, h, months = terms.loan_to_value, terms.holding_years, terms.amortization_months
+    monthly = terms.annual_rate / 12.0
     change = appreciation.asset_change
-    r_m = mortgage_constant(terms.annual_rate, terms.amortization_months)
-    bal = balance_fraction(12 * h, terms.amortization_months, terms.annual_rate / 12.0)
+    a_n = _annuity(monthly, months)
+    r_m = 12.0 * (1.0 / a_n)
+    paid_months = 12 * h
+    bal = 0.0 if paid_months == months else _annuity(monthly, months - paid_months) / a_n
     paid = 1.0 - bal
-    sff = sinking_fund_factor(equity_yield, h)
+    sff = _sff(equity_yield, h)
     c_factor = equity_yield + paid * sff - r_m
     rate = equity_yield - m * c_factor - change * sff
     akerson = m * r_m + (1.0 - m) * equity_yield - m * paid * sff - change * sff
-    return EllwoodRate(
-        rate=rate,
-        c_factor=c_factor,
-        mortgage_constant=r_m,
-        portion_paid=paid,
-        balance_fraction=bal,
-        equity_sff=sff,
-        akerson_rate=akerson,
-    )
+    return EllwoodRate(rate, c_factor, r_m, paid, bal, sff, akerson)
 
 
 def ellwood_j_cap_rate(
@@ -231,9 +219,7 @@ def ellwood_j_cap_rate(
     denom = 1.0 + delta * j
     if denom == 0.0:
         raise ValueError("income change cancels the J adjustment; rate undefined")
-    return base._replace(
-        rate=base.rate / denom, akerson_rate=base.akerson_rate / denom, j_factor=j, income_change=delta
-    )
+    return EllwoodRate(base.rate / denom, *base[1:6], base.akerson_rate / denom, j, delta)
 
 
 def recovery_cap_rate(method: str, rate: float, n: int, safe_rate: float | None = None) -> float:
@@ -252,7 +238,7 @@ def recovery_cap_rate(method: str, rate: float, n: int, safe_rate: float | None 
             raise ValueError("hoskold method requires a safe_rate")
         if safe_rate < 0.0:
             raise ValueError(f"safe_rate must be >= 0, got {safe_rate!r}")
-        return rate + sinking_fund_factor(safe_rate, n)
+        return rate + _sff(_check_rate(safe_rate), n)  # the test above passes nan and inf
     if method == "annuity":
-        return installment_to_amortize(rate, n)
+        return 1.0 / _annuity(rate, n)
     raise ValueError(f"unknown method {method!r}; expected one of {RECOVERY_METHODS}")

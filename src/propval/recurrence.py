@@ -16,13 +16,7 @@ import math
 
 from . import _EXPORTS
 from ._record import record
-from .timevalue import (
-    accumulation,
-    annuity_pv,
-    sinking_fund_factor,
-    _check_periods,
-    _check_rate,
-)
+from .timevalue import _accumulation, _annuity, _check_periods, _check_rate, _sff
 
 __all__ = list(_EXPORTS["recurrence"])
 
@@ -100,12 +94,12 @@ def value_recurrence_stream(spec: RecurrenceSpec, rate: float, n: int) -> float:
     if abs(m - 1.0) < _DISPATCH_TOL:
         if abs(rate) < _DISPATCH_TOL:
             return n * c + b * n * (n + 1) / 2.0
-        a_n = annuity_pv(rate, n)
+        a_n = _annuity(rate, n)
         return (c + (n + 1) * b) * a_n - b * (n - a_n) / rate
     if abs(m - (1.0 + rate)) < _DISPATCH_TOL:
-        a_n = annuity_pv(rate, n)
+        a_n = _annuity(rate, n)
         return n * c + b * (n - a_n) / rate
-    a_n = annuity_pv(rate, n)
+    a_n = _annuity(rate, n)
     ratio = m / (1.0 + rate)
     geometric = m * (1.0 - ratio**n) / (1.0 + rate - m)
     scale = b / (m - 1.0)
@@ -123,7 +117,7 @@ def value_offset_stream(spec: OffsetStreamSpec, rate: float, n: int) -> float:
     m, b, c = spec.recurrence.multiplier, spec.recurrence.increment, spec.recurrence.seed
     d, h = spec.first_income, spec.decrement
     v_n = value_recurrence_stream(spec.recurrence, rate, n)
-    a_n = annuity_pv(rate, n)
+    a_n = _annuity(rate, n)
     return (d + b * h / m) * a_n - h * v_n / m + h * c / (1.0 + rate)
 
 
@@ -140,7 +134,7 @@ def straight_line_annuity_value(d: float, h: float, rate: float, n: int) -> floa
     if abs(rate) < _DISPATCH_TOL:
         counting = RecurrenceSpec(multiplier=1.0, increment=1.0, seed=0.0)
         return value_offset_stream(OffsetStreamSpec(d, h, counting), rate, n)
-    a_n = annuity_pv(rate, n)
+    a_n = _annuity(rate, n)
     return (d - n * h) * a_n + h * (n - a_n) / rate
 
 
@@ -168,7 +162,7 @@ def accumulation_stream_value(rate: float, n: int) -> float:
     n = _check_periods(n)
     if rate == 0.0:
         raise ValueError("rate must be nonzero; the zero-rate value is n(n+1)/2")
-    return (n - annuity_pv(rate, n)) / rate
+    return (n - _annuity(rate, n)) / rate
 
 
 def ellwood_j_factor(rate: float, n: int) -> float:
@@ -184,7 +178,7 @@ def ellwood_j_factor(rate: float, n: int) -> float:
     denom = 1.0 - (1.0 + rate) ** (-n)
     if denom == 0.0:
         raise ValueError(f"rate {rate!r} is too close to zero: 1 - (1+i)^-n rounds to 0")
-    return (n / denom - 1.0 / rate) / accumulation(rate, n)
+    return (n / denom - 1.0 / rate) / _accumulation(rate, n)
 
 
 def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -> float:
@@ -201,7 +195,7 @@ def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -
     if safe_rate < 0.0:
         raise ValueError(f"safe_rate must be >= 0, got {safe_rate!r}")
     n = _check_periods(n)
-    denom = rate + sinking_fund_factor(safe_rate, n)
+    denom = rate + _sff(_check_rate(safe_rate), n)  # the test above passes nan and inf
     if denom == 0.0:
         raise ValueError("rate plus sinking fund factor is zero; value undefined")
     return income / denom
@@ -215,10 +209,10 @@ def hoskold_income_stream(income: float, rate: float, safe_rate: float, n: int) 
     safe-rate recovery deposits. With i_s = 0 the drop is the constant
     i*V/n of the straight-line method; with i_s = i the stream is level.
     """
-    value = hoskold_stream_value(income, rate, safe_rate, n)
-    loss = (rate - safe_rate) * sinking_fund_factor(safe_rate, n) * value
+    value = hoskold_stream_value(income, rate, safe_rate, n)  # checks every argument
+    loss = (rate - safe_rate) * _sff(safe_rate, n) * value
     incomes = []
     for k in range(1, n + 1):
-        accumulated = 0.0 if k == 1 else accumulation(safe_rate, k - 1)
+        accumulated = 0.0 if k == 1 else _accumulation(safe_rate, k - 1)
         incomes.append(income - loss * accumulated)
     return incomes

@@ -19,7 +19,7 @@ value that rounds to zero formats as its absolute value, the unsigned zero.
 
 from __future__ import annotations
 
-from math import copysign
+from math import copysign, isfinite, isinf
 
 __all__ = ["format_fixed", "format_percent", "align_table"]
 
@@ -30,8 +30,9 @@ _SCALED_LIMIT = 2.0**40
 # adding and subtracting 1.5 * 2**52 rounds a double below 2**51 in size to an integer
 _RINT = 1.5 * 2.0**52
 _TIE_MARGIN = 1e-3
-# a finite double has at most 309 integer digits; keep every one plus the decimals
-_DECIMAL_DIGITS = 309 + MAX_PLACES
+# a finite double has at most 309 integer digits, and a percent of one 311;
+# keep every one plus the decimals
+_DECIMAL_DIGITS = 311 + MAX_PLACES
 
 
 def _float_rounding_agrees(value: float, places: int) -> bool:
@@ -57,19 +58,28 @@ def _float_rounding_agrees(value: float, places: int) -> bool:
     )
 
 
-def format_fixed(value: float, places: int) -> str:
-    """Fixed-point string with the given decimals, ties away from zero."""
+def _check_places(places: int) -> None:
     if places < 0 or places > MAX_PLACES:
         raise ValueError(f"places must be in 0..{MAX_PLACES}, got {places!r}")
+
+
+def format_fixed(value: float, places: int) -> str:
+    """Fixed-point string with the given decimals, ties away from zero."""
+    _check_places(places)
     if _float_rounding_agrees(value, places):
         return format(value, _FIXED_SPECS[places])
     if _float_rounding_agrees(-value, places):
         # only a negative value that rounds to zero fails the test above and
         # passes this one: its absolute value prints the unsigned zero
         return format(-value, _FIXED_SPECS[places])
+    return _format_decimal(value, places)
+
+
+def _format_decimal(value: float, places: int, scale: int = 0) -> str:
+    """value * 10**scale, from the shortest repr of value, rounded half up."""
     from decimal import ROUND_HALF_UP, Context, Decimal  # loaded only when a value needs it
 
-    quantized = Decimal(repr(float(value))).quantize(
+    quantized = Decimal(repr(float(value))).scaleb(scale).quantize(
         Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP, context=Context(prec=_DECIMAL_DIGITS)
     )
     if quantized == 0:
@@ -78,8 +88,16 @@ def format_fixed(value: float, places: int) -> str:
 
 
 def format_percent(rate: float, places: int = 2) -> str:
-    """Rate fraction as a percentage string: 0.2 -> '20.00%'."""
-    return format_fixed(rate * 100.0, places) + "%"
+    """Rate fraction as a percentage string: 0.2 -> '20.00%'.
+
+    A finite rate whose percent overflows a double (above ~1.8e306) is
+    scaled on its decimal digits instead.
+    """
+    percent = rate * 100.0
+    if isinf(percent) and isfinite(rate):
+        _check_places(places)
+        return _format_decimal(rate, places, scale=2) + "%"
+    return format_fixed(percent, places) + "%"
 
 
 def align_table(rows: list[list[str]]) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from propval import (
     sinking_fund_schedule,
 )
 from propval.cli import main
-from propval.render import _float_rounding_agrees, align_table, format_fixed
+from propval.render import _float_rounding_agrees, align_table, format_fixed, format_percent
 
 from oracles import align_table_oracle, format_fixed_oracle, schedule_cells_oracle
 
@@ -141,6 +142,36 @@ class TestFormatFixed:
             format_fixed(1.0, places)
         with pytest.raises(ValueError):
             schedule_to_table(level_schedule(1000.0, 0.1, 2), places)
+
+
+MAX = sys.float_info.max
+
+
+class TestFormatPercent:
+    @pytest.mark.parametrize("rate, text", [(0.2, "20.00%"), (-0.125, "-12.50%"), (0.0, "0.00%"), (1e300, None)])
+    def test_rate_times_100_where_it_is_finite(self, rate, text):
+        assert format_percent(rate) == (text or format_fixed(rate * 100.0, 2) + "%")
+
+    @pytest.mark.parametrize(
+        "rate, places, text",
+        [
+            (1e307, 2, "1" + "0" * 309 + ".00%"),
+            (-1e307, 0, "-1" + "0" * 309 + "%"),
+            (MAX, 2, "17976931348623157" + "0" * 294 + ".00%"),
+            (-MAX, 12, "-17976931348623157" + "0" * 294 + "." + "0" * 12 + "%"),
+            (5.4321e306, 1, "54321" + "0" * 304 + ".0%"),
+        ],
+        ids=["1e307", "-1e307", "max", "-max", "5.4321e306"],
+    )
+    def test_percent_beyond_the_double_range_from_the_decimal_digits(self, rate, places, text):
+        assert math.isinf(rate * 100.0)
+        assert format_percent(rate, places) == text
+
+    @pytest.mark.parametrize("places", [-1, 13])
+    def test_places_out_of_range(self, places):
+        for rate in (0.2, MAX):
+            with pytest.raises(ValueError):
+                format_percent(rate, places)
 
 
 cells = st.text(alphabet="ab -.0", max_size=6)
