@@ -19,7 +19,7 @@ import math
 
 from . import _EXPORTS
 from ._record import record
-from .render import _float_rounding_agrees, align_table, _check_places, format_fixed
+from .render import _check_places, _float_rounding_agrees, align_table, format_fixed
 from .timevalue import _annuity, _check_periods, _check_rate, _sff
 
 __all__ = list(_EXPORTS["amortization"])

@@ -77,12 +77,16 @@ def _sff(rate: float, n: int) -> float:
 
 def compound_amount(rate: float, n: int) -> float:
     """Future value of one after n periods: (1+r)^n."""
-    return (1.0 + _check_rate(rate)) ** _check_periods(n)
+    rate = _check_rate(rate)
+    n = _check_periods(n)
+    return (1.0 + rate) ** n
 
 
 def pv_reversion(rate: float, n: int) -> float:
     """Present value of one received n periods out: 1/(1+r)^n."""
-    return (1.0 + _check_rate(rate)) ** (-_check_periods(n))
+    rate = _check_rate(rate)
+    n = _check_periods(n)
+    return (1.0 + rate) ** (-n)
 
 
 def annuity_pv(rate: float, n: int) -> float:
