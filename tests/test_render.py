@@ -148,9 +148,9 @@ MAX = sys.float_info.max
 
 
 class TestFormatPercent:
-    @pytest.mark.parametrize("rate, text", [(0.2, "20.00%"), (-0.125, "-12.50%"), (0.0, "0.00%"), (1e300, None)])
-    def test_rate_times_100_where_it_is_finite(self, rate, text):
-        assert format_percent(rate) == (text or format_fixed(rate * 100.0, 2) + "%")
+    @pytest.mark.parametrize("rate", [0.2, -0.125, 0.0, 1e300, 1.7e306])
+    def test_rate_times_100_where_it_is_finite(self, rate):
+        assert format_percent(rate) == format_fixed(rate * 100.0, 2) + "%"
 
     @pytest.mark.parametrize(
         "rate, places, text",
