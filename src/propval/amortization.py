@@ -19,8 +19,8 @@ import math
 
 from . import _EXPORTS
 from ._record import record
-from .render import _check_places, _float_rounding_agrees, align_table, format_fixed
-from .timevalue import _annuity, _check_periods, _check_rate, _sff
+from .render import MAX_PLACES, _float_rounding_agrees, align_table, format_fixed
+from .timevalue import _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff
 
 __all__ = list(_EXPORTS["amortization"])
 
@@ -59,9 +59,8 @@ def level_schedule(principal: float, rate: float, n: int) -> AmortizationSchedul
     balance, so the principal reductions grow by (1 + rate) each period
     and the final payment retires the loan.
     """
-    if not 0.0 < principal < math.inf:
-        raise ValueError(f"principal must be positive and finite, got {principal!r}")
-    rate = _check_rate(rate)
+    _check_real(principal, "principal", _POSITIVE)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     payment = principal * (1.0 / _annuity(rate, n))
     rows = []
@@ -87,7 +86,7 @@ def generalized_schedule(principal_reductions: list[float], rate: float) -> Amor
         raise ValueError("need at least one principal reduction")
     if not all(math.isfinite(p) for p in reductions):
         raise ValueError("principal reductions must be finite")
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = len(reductions)
     # tails[k] = P_(k+1) + ... + P_n, built right to left so the last
     # balance is zero exactly, not up to summation rounding.
@@ -117,13 +116,11 @@ def sinking_fund_schedule(
     back the level schedule; r = 0 drops income by a constant
     rate * principal / n each period.
     """
-    if not 0.0 < principal < math.inf:
-        raise ValueError(f"principal must be positive and finite, got {principal!r}")
-    rate = _check_rate(rate)
-    if recovery_rate < 0.0:
-        raise ValueError(f"recovery_rate must be >= 0, got {recovery_rate!r}")
+    _check_real(principal, "principal", _POSITIVE)
+    rate = _check_real(rate, "rate", _RATE)
+    recovery_rate = _check_real(recovery_rate, "recovery_rate", _NONNEGATIVE)
     n = _check_periods(n)
-    sff = _sff(_check_rate(recovery_rate), n)  # the test above passes nan and inf
+    sff = _sff(recovery_rate, n)
     deposit = sff * principal
     rows = []
     fund_prev = 0.0  # s(k-1, r): accumulation factor of the fund so far
@@ -180,7 +177,7 @@ def schedule_to_csv(schedule: AmortizationSchedule) -> str:
 
 def schedule_to_table(schedule: AmortizationSchedule, places: int) -> str:
     """Render rows as aligned columns, amounts rounded to places decimals."""
-    _check_places(places)
+    places = _check_periods(places, "places", 0, MAX_PLACES)
     return align_table([COLUMNS] + [_row_cells(row, places) for row in schedule.rows])
 
 

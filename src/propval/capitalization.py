@@ -10,12 +10,10 @@ income-change variant dividing by 1 + delta*J).
 
 from __future__ import annotations
 
-import math
-
 from . import _EXPORTS
 from ._record import record
 from .recurrence import ellwood_j_factor
-from .timevalue import _annuity, _check_finite, _check_periods, _check_rate, _sff
+from .timevalue import _CHANGE, _FRACTION, _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff
 
 __all__ = list(_EXPORTS["capitalization"])
 
@@ -36,9 +34,8 @@ class MortgageTerms(record("MortgageTerms", "loan_to_value annual_rate amortizat
     def __new__(
         cls, loan_to_value: float, annual_rate: float, amortization_months: int, holding_years: int
     ) -> MortgageTerms:
-        if not 0.0 <= loan_to_value <= 1.0:
-            raise ValueError(f"loan_to_value must be in [0, 1], got {loan_to_value!r}")
-        _check_rate(annual_rate, name="annual_rate")
+        _check_real(loan_to_value, "loan_to_value", _FRACTION)
+        _check_real(annual_rate, "annual_rate", _RATE)
         _check_periods(amortization_months, name="amortization_months")
         _check_periods(holding_years, name="holding_years")
         if amortization_months < 12 * holding_years:
@@ -60,10 +57,8 @@ class AppreciationSpec(record("AppreciationSpec", "asset_change income_change", 
     __slots__ = ()
 
     def __new__(cls, asset_change: float = 0.0, income_change: float = 0.0) -> AppreciationSpec:
-        if not math.isfinite(asset_change) or not math.isfinite(income_change):
-            raise ValueError("appreciation fractions must be finite")
-        if asset_change < -1.0:
-            raise ValueError(f"asset_change cannot fall below -1, got {asset_change!r}")
+        _check_real(asset_change, "asset_change", _CHANGE)
+        _check_real(income_change, "income_change")
         return super().__new__(cls, asset_change, income_change)
 
 
@@ -96,17 +91,15 @@ class EllwoodRate(
 
 def perpetuity_value(income: float, rate: float) -> float:
     """Value of a level income that never stops: I / i."""
-    _check_finite(income, "income")
-    _check_finite(rate, "rate")
-    if not rate > 0.0:
-        raise ValueError(f"perpetuity rate must be positive, got {rate!r}")
+    _check_real(income, "income")
+    _check_real(rate, "rate", _POSITIVE)
     return income / rate
 
 
 def capitalize(income: float, cap_rate: float) -> float:
     """Value from one period's income and a capitalization rate: V = I/R."""
-    _check_finite(income, "income")
-    _check_finite(cap_rate, "cap_rate")
+    _check_real(income, "income")
+    _check_real(cap_rate, "cap_rate")
     if cap_rate == 0.0:
         raise ValueError("cap_rate must be nonzero")
     return income / cap_rate
@@ -114,8 +107,8 @@ def capitalize(income: float, cap_rate: float) -> float:
 
 def rate_from(value: float, income: float) -> float:
     """Implied capitalization rate R = I/V from an observed value."""
-    _check_finite(value, "value")
-    _check_finite(income, "income")
+    _check_real(value, "value")
+    _check_real(income, "income")
     if value == 0.0:
         raise ValueError("value must be nonzero")
     return income / value
@@ -128,9 +121,9 @@ def adjusted_cap_rate(rate: float, n: int, asset_change: float) -> float:
     change = -1 (total waste) loads the full sinking fund factor back on,
     recovering 1/a(n, i).
     """
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
-    _check_finite(asset_change, "asset_change")
+    _check_real(asset_change, "asset_change")
     return rate - asset_change * _sff(rate, n)
 
 
@@ -140,10 +133,9 @@ def band_of_investment(loan_to_value: float, debt_rate: float, equity_yield: flo
     R = M*i + (1-M)*Y: the cap rate is the value-weighted average of what
     each band of the capital stack requires.
     """
-    if not 0.0 <= loan_to_value <= 1.0:
-        raise ValueError(f"loan_to_value must be in [0, 1], got {loan_to_value!r}")
-    _check_finite(debt_rate, "debt_rate")
-    _check_finite(equity_yield, "equity_yield")
+    _check_real(loan_to_value, "loan_to_value", _FRACTION)
+    _check_real(debt_rate, "debt_rate")
+    _check_real(equity_yield, "equity_yield")
     return loan_to_value * debt_rate + (1.0 - loan_to_value) * equity_yield
 
 
@@ -156,17 +148,17 @@ def band_with_mortgage_constant(
     declines in step with the payoff, so the annual debt service constant
     replaces the bare interest rate.
     """
-    if not 0.0 <= loan_to_value <= 1.0:
-        raise ValueError(f"loan_to_value must be in [0, 1], got {loan_to_value!r}")
-    _check_finite(mortgage_constant_annual, "mortgage_constant_annual")
-    _check_finite(equity_yield, "equity_yield")
+    _check_real(loan_to_value, "loan_to_value", _FRACTION)
+    _check_real(mortgage_constant_annual, "mortgage_constant_annual")
+    _check_real(equity_yield, "equity_yield")
     return loan_to_value * mortgage_constant_annual + (1.0 - loan_to_value) * equity_yield
 
 
 def mortgage_constant(annual_rate: float, amortization_months: int) -> float:
     """Annual debt service per unit of loan: 12 / a(months, rate/12)."""
     amortization_months = _check_periods(amortization_months, name="amortization_months")
-    return 12.0 * (1.0 / _annuity(_check_rate(annual_rate / 12.0), amortization_months))
+    monthly = _check_real(annual_rate / 12.0, "annual_rate / 12", _RATE)
+    return 12.0 * (1.0 / _annuity(monthly, amortization_months))
 
 
 def ellwood_cap_rate(
@@ -182,7 +174,7 @@ def ellwood_cap_rate(
     balance at 12H). The akerson_rate field carries the equivalent
     regrouping M*Rm + (1-M)Y - M*P*SFF - change*SFF.
     """
-    equity_yield = _check_rate(equity_yield, name="equity_yield")
+    equity_yield = _check_real(equity_yield, "equity_yield", _RATE)
     # the record validated its fields, so they go to the kernels unchecked
     m, h, months = terms.loan_to_value, terms.holding_years, terms.amortization_months
     monthly = terms.annual_rate / 12.0
@@ -229,16 +221,14 @@ def recovery_cap_rate(method: str, rate: float, n: int, safe_rate: float | None 
     hoskold -> i + SFF(n, i_s) (recovery accrues at a safe rate below i)
     annuity -> 1/a(n, i)       (recovery accrues at the discount rate itself)
     """
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     if method == "ring":
         return rate + 1.0 / n
     if method == "hoskold":
         if safe_rate is None:
             raise ValueError("hoskold method requires a safe_rate")
-        if safe_rate < 0.0:
-            raise ValueError(f"safe_rate must be >= 0, got {safe_rate!r}")
-        return rate + _sff(_check_rate(safe_rate), n)  # the test above passes nan and inf
+        return rate + _sff(_check_real(safe_rate, "safe_rate", _NONNEGATIVE), n)
     if method == "annuity":
         return 1.0 / _annuity(rate, n)
     raise ValueError(f"unknown method {method!r}; expected one of {RECOVERY_METHODS}")

@@ -22,6 +22,7 @@ import math
 import sys
 
 from .render import MAX_PLACES, format_fixed
+from .timevalue import _check_periods
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -72,9 +73,8 @@ def _places_from(args: argparse.Namespace) -> dict[str, int]:
     """Display decimals by value kind: 2 for money and 4 for rates, or --precision for both."""
     if args.precision is None:
         return {"money": 2, "rate": 4}
-    if not 0 <= args.precision <= MAX_PLACES:
-        raise ValueError(f"--precision must be in 0..{MAX_PLACES}, got {args.precision}")
-    return {"money": args.precision, "rate": args.precision}
+    places = _check_periods(args.precision, "--precision", 0, MAX_PLACES)
+    return {"money": places, "rate": places}
 
 
 def _print_json(payload: dict) -> None:

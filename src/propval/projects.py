@@ -33,6 +33,7 @@ import math
 from . import _EXPORTS
 from ._record import record
 from .render import align_table, format_fixed, format_percent
+from .timevalue import _RATE, _check_real
 
 __all__ = list(_EXPORTS["projects"])
 
@@ -114,8 +115,7 @@ class ComparisonReport(
 
 def npv(project: Project, rate: float) -> float:
     """Net present value at the given rate: sum of C_t / (1+r)^t."""
-    if not -1.0 < rate < math.inf:
-        raise ValueError(f"rate must be finite and exceed -1, got {rate!r}")
+    rate = _check_real(rate, "rate", _RATE)
     factor = 1.0
     total = project.cashflows[0]
     for flow in project.cashflows[1:]:
@@ -276,9 +276,7 @@ def irr_all(project: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS) 
     """
     if not any(c != 0.0 for c in project.cashflows):
         raise ValueError("project has no nonzero cash flows; IRR undefined")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo > -1.0:
-        raise ValueError(f"lower bound must exceed -1, got {lo!r}")
+    lo, hi = _check_real(bounds[0], "lower bound", _RATE), float(bounds[1])
     if not hi > lo:
         raise ValueError(f"bounds must be increasing, got {bounds!r}")
     flows = project.cashflows

@@ -12,11 +12,9 @@ declining streams behind the Ring and Hoskold capitalization methods.
 
 from __future__ import annotations
 
-import math
-
 from . import _EXPORTS
 from ._record import record
-from .timevalue import _accumulation, _annuity, _check_periods, _check_rate, _sff
+from .timevalue import _NONNEGATIVE, _RATE, _accumulation, _annuity, _check_periods, _check_real, _sff
 
 __all__ = list(_EXPORTS["recurrence"])
 
@@ -33,8 +31,7 @@ class RecurrenceSpec(record("RecurrenceSpec", "multiplier increment seed")):
     def __new__(cls, multiplier: float, increment: float, seed: float) -> RecurrenceSpec:
         self = super().__new__(cls, multiplier, increment, seed)
         for field, value in zip(self._fields, self):
-            if not math.isfinite(value):
-                raise ValueError(f"{field} must be finite, got {value!r}")
+            _check_real(value, field)
         return self
 
 
@@ -49,10 +46,8 @@ class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurr
     __slots__ = ()
 
     def __new__(cls, first_income: float, decrement: float, recurrence: RecurrenceSpec) -> OffsetStreamSpec:
-        if not math.isfinite(first_income):
-            raise ValueError(f"first_income must be finite, got {first_income!r}")
-        if not math.isfinite(decrement):
-            raise ValueError(f"decrement must be finite, got {decrement!r}")
+        _check_real(first_income, "first_income")
+        _check_real(decrement, "decrement")
         if recurrence.multiplier == 0.0:
             raise ValueError("offset streams need a nonzero recurrence multiplier")
         return super().__new__(cls, first_income, decrement, recurrence)
@@ -88,7 +83,7 @@ def value_recurrence_stream(spec: RecurrenceSpec, rate: float, n: int) -> float:
       m = 1   (i nonzero)    -> [c + (n+1)b] a_n - b(n - a_n)/i
       m = 1, i = 0           -> n*c + b*n(n+1)/2
     """
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     m, b, c = spec.multiplier, spec.increment, spec.seed
     if abs(m - 1.0) < _DISPATCH_TOL:
@@ -112,7 +107,7 @@ def value_offset_stream(spec: OffsetStreamSpec, rate: float, n: int) -> float:
     Evaluated as [d + bh/m] a_n - h V_n / m + h c / (1+i), which reuses the
     closed form for V_n above.
     """
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     m, b, c = spec.recurrence.multiplier, spec.recurrence.increment, spec.recurrence.seed
     d, h = spec.first_income, spec.decrement
@@ -127,9 +122,9 @@ def straight_line_annuity_value(d: float, h: float, rate: float, n: int) -> floa
     [d - nh] a_n + h(n - a_n)/i for a nonzero rate; a negative h values a
     stream rising by a constant amount.
     """
-    if not (math.isfinite(d) and math.isfinite(h)):
-        raise ValueError(f"d and h must be finite, got {d!r} and {h!r}")
-    rate = _check_rate(rate)
+    _check_real(d, "d")
+    _check_real(h, "h")
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     if abs(rate) < _DISPATCH_TOL:
         counting = RecurrenceSpec(multiplier=1.0, increment=1.0, seed=0.0)
@@ -144,8 +139,8 @@ def constant_ratio_annuity_value(growth: float, rate: float, n: int) -> float:
     [1 - ((1+g)/(1+i))^n] / (i - g); when g = i every discounted term is
     1/(1+i), so the value is n/(1+i).
     """
-    growth = _check_rate(growth, name="growth")
-    rate = _check_rate(rate)
+    growth = _check_real(growth, "growth", _RATE)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     if abs(growth - rate) < _DISPATCH_TOL:
         return n / (1.0 + rate)
@@ -158,7 +153,7 @@ def accumulation_stream_value(rate: float, n: int) -> float:
     Equals the sum of a_1..a_n, and collapses to (n - a_n)/i. Rejects a
     zero rate; that limit is n(n+1)/2 and lives on the recurrence path.
     """
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     if rate == 0.0:
         raise ValueError("rate must be nonzero; the zero-rate value is n(n+1)/2")
@@ -171,7 +166,7 @@ def ellwood_j_factor(rate: float, n: int) -> float:
     J = (1/s_n) * (n / (1 - (1+i)^-n) - 1/i). Scales the relative income
     change in the denominator of the changing-income cap rate.
     """
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     if rate == 0.0:
         raise ValueError("rate must be nonzero")
@@ -189,13 +184,11 @@ def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -
     stream itself (see hoskold_income_stream) declines by the compounding
     interest losses of recovering capital at the safe rate.
     """
-    if not math.isfinite(income):
-        raise ValueError(f"income must be finite, got {income!r}")
-    rate = _check_rate(rate)
-    if safe_rate < 0.0:
-        raise ValueError(f"safe_rate must be >= 0, got {safe_rate!r}")
+    _check_real(income, "income")
+    rate = _check_real(rate, "rate", _RATE)
+    safe_rate = _check_real(safe_rate, "safe_rate", _NONNEGATIVE)
     n = _check_periods(n)
-    denom = rate + _sff(_check_rate(safe_rate), n)  # the test above passes nan and inf
+    denom = rate + _sff(safe_rate, n)
     if denom == 0.0:
         raise ValueError("rate plus sinking fund factor is zero; value undefined")
     return income / denom
@@ -212,7 +205,7 @@ def hoskold_income_stream(income: float, rate: float, safe_rate: float, n: int) 
     value = hoskold_stream_value(income, rate, safe_rate, n)  # checks every argument
     loss = (rate - safe_rate) * _sff(safe_rate, n) * value
     incomes = []
-    for k in range(1, n + 1):
+    for k in range(1, int(n) + 1):  # n is a checked count; 12.0 stands for 12
         accumulated = 0.0 if k == 1 else _accumulation(safe_rate, k - 1)
         incomes.append(income - loss * accumulated)
     return incomes

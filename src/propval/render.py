@@ -19,7 +19,9 @@ value that rounds to zero formats as its absolute value, the unsigned zero.
 
 from __future__ import annotations
 
-from math import copysign, isfinite, isinf
+from math import copysign, isinf, isnan
+
+from .timevalue import _check_periods, _check_real
 
 __all__ = ["format_fixed", "format_percent", "align_table"]
 
@@ -58,21 +60,17 @@ def _float_rounding_agrees(value: float, places: int) -> bool:
     )
 
 
-def _check_places(places: int) -> None:
-    if places < 0 or places > MAX_PLACES:
-        raise ValueError(f"places must be in 0..{MAX_PLACES}, got {places!r}")
-
-
 def format_fixed(value: float, places: int) -> str:
     """Fixed-point string with the given decimals, ties away from zero."""
-    _check_places(places)
+    places = _check_periods(places, "places", 0, MAX_PLACES)
     if _float_rounding_agrees(value, places):
         return format(value, _FIXED_SPECS[places])
     if _float_rounding_agrees(-value, places):
         # only a negative value that rounds to zero fails the test above and
         # passes this one: its absolute value prints the unsigned zero
         return format(-value, _FIXED_SPECS[places])
-    return _format_decimal(value, places)
+    # nan prints as NaN, as Decimal prints it; inf has no digits to round
+    return _format_decimal(value if isnan(value) else _check_real(value, "value"), places)
 
 
 def _format_decimal(value: float, places: int, scale: int = 0) -> str:
@@ -94,9 +92,9 @@ def format_percent(rate: float, places: int = 2) -> str:
     scaled on its decimal digits instead.
     """
     percent = rate * 100.0
-    if isinf(percent) and isfinite(rate):
-        _check_places(places)
-        return _format_decimal(rate, places, scale=2) + "%"
+    if isinf(percent):
+        places = _check_periods(places, "places", 0, MAX_PLACES)
+        return _format_decimal(_check_real(rate, "rate"), places, scale=2) + "%"
     return format_fixed(percent, places) + "%"
 
 

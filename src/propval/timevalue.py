@@ -13,8 +13,19 @@ Zero rates are handled by explicit limit branches (annuity -> n,
 accumulation -> n, sinking fund factor -> 1/n) rather than evaluating 0/0.
 
 Each argument is validated once, at the public entry point that receives
-it. The private kernels _annuity, _accumulation and _sff hold each formula
-and its zero-rate branch once and check nothing; a caller hands them only
+it, through one of two helpers that the whole package shares. A failed
+check raises ValueError("<name> must be <range>, got <value>"):
+
+- _check_real(value, name, bounds) returns float(value) for a value in
+  one of the ranges defined below ("rate must be greater than -1 and
+  finite, got nan");
+- _check_periods(n, name, minimum=1, maximum=None) returns an integer
+  count (12.0 counts as 12; True, 2.5, nan and inf do not): a period count
+  is >= 1, a payment index k >= 0, and decimal places are in 0..12 ("n
+  must be >= 1, got 0", "n must be an integer, got 2.5").
+
+The private kernels _annuity, _accumulation and _sff hold each formula and
+its zero-rate branch once and check nothing; a caller hands them only
 values it has checked, or fields of a record that validated them when it
 was built.
 """
@@ -22,39 +33,40 @@ was built.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _EXPORTS
 
 __all__ = list(_EXPORTS["timevalue"])
 
+_MAX = sys.float_info.max
+# Admissible ranges of a real argument as (low, high, words): the closed
+# interval low..high, so that the one test low <= value <= high rejects nan,
+# inf and -inf too. An open end is the nearest double inside it.
+_FINITE = (-_MAX, _MAX, "finite")  # amounts, changes, stream parameters
+_RATE = (math.nextafter(-1.0, 0.0), _MAX, "greater than -1 and finite")  # rates, yields, growth
+_POSITIVE = (math.ulp(0.0), _MAX, "positive and finite")  # principals, a perpetuity's rate
+_NONNEGATIVE = (0.0, _MAX, ">= 0 and finite")  # safe and recovery rates
+_FRACTION = (0.0, 1.0, "in [0, 1]")  # loan-to-value
+_CHANGE = (-1.0, _MAX, ">= -1 and finite")  # change in resale value; -1 wastes the asset
 
-def _check_finite(value: float, name: str) -> float:
+
+def _check_real(value: float, name: str, bounds: tuple = _FINITE) -> float:
     value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    if bounds[0] <= value <= bounds[1]:
+        return value
+    raise ValueError(f"{name} must be {bounds[2]}, got {value!r}")
 
 
-def _check_rate(rate: float, name: str = "rate") -> float:
-    # the finite check is inline rather than a call to _check_finite: this
-    # runs once per rate argument of every public factor function
-    rate = float(rate)
-    if not math.isfinite(rate):
-        raise ValueError(f"{name} must be finite, got {rate!r}")
-    if rate <= -1.0:
-        raise ValueError(f"{name} must be greater than -1, got {rate!r}")
-    return rate
-
-
-def _check_periods(n: int, name: str = "n", minimum: int = 1) -> int:
-    if type(n) is int and n >= minimum:
-        return n
-    if isinstance(n, bool) or float(n) != int(n):
-        raise ValueError(f"{name} must be an integer period count, got {n!r}")
-    n = int(n)
-    if n < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {n}")
-    return n
+def _check_periods(n: int, name: str = "n", minimum: int = 1, maximum: int | None = None) -> int:
+    if type(n) is int:
+        if minimum <= n and (maximum is None or n <= maximum):
+            return n
+        bounds = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise ValueError(f"{name} must be {bounds}, got {n}")
+    if isinstance(n, bool) or not float(n).is_integer():
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    return _check_periods(int(n), name, minimum, maximum)
 
 
 def _annuity(rate: float, n: int) -> float:
@@ -77,14 +89,14 @@ def _sff(rate: float, n: int) -> float:
 
 def compound_amount(rate: float, n: int) -> float:
     """Future value of one after n periods: (1+r)^n."""
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     return (1.0 + rate) ** n
 
 
 def pv_reversion(rate: float, n: int) -> float:
     """Present value of one received n periods out: 1/(1+r)^n."""
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     return (1.0 + rate) ** (-n)
 
@@ -96,12 +108,12 @@ def annuity_pv(rate: float, n: int) -> float:
     Evaluated through expm1/log1p so rates arbitrarily close to zero
     stay accurate instead of cancelling to 0/0.
     """
-    return _annuity(_check_rate(rate), _check_periods(n))
+    return _annuity(_check_real(rate, "rate", _RATE), _check_periods(n))
 
 
 def installment_to_amortize(rate: float, n: int) -> float:
     """Level payment that retires a loan of one over n periods: 1/a(n,r)."""
-    return 1.0 / _annuity(_check_rate(rate), _check_periods(n))
+    return 1.0 / _annuity(_check_real(rate, "rate", _RATE), _check_periods(n))
 
 
 def accumulation(rate: float, n: int) -> float:
@@ -109,7 +121,7 @@ def accumulation(rate: float, n: int) -> float:
 
     s(n,r) = ((1+r)^n - 1) / r, with the r = 0 limit equal to n.
     """
-    return _accumulation(_check_rate(rate), _check_periods(n))
+    return _accumulation(_check_real(rate, "rate", _RATE), _check_periods(n))
 
 
 def sinking_fund_factor(rate: float, n: int) -> float:
@@ -117,7 +129,7 @@ def sinking_fund_factor(rate: float, n: int) -> float:
 
     Satisfies 1/a(n,r) = r + SFF(n,r) for every rate and horizon.
     """
-    return _sff(_check_rate(rate), _check_periods(n))
+    return _sff(_check_real(rate, "rate", _RATE), _check_periods(n))
 
 
 def balance_fraction(k: int, n: int, rate: float) -> float:
@@ -131,7 +143,7 @@ def balance_fraction(k: int, n: int, rate: float) -> float:
     k = _check_periods(k, name="k", minimum=0)
     if k > n:
         raise ValueError(f"k must not exceed n, got k={k}, n={n}")
-    rate = _check_rate(rate)
+    rate = _check_real(rate, "rate", _RATE)
     if k == 0:
         return 1.0
     if k == n:

@@ -127,15 +127,15 @@ INVALID = [
     (Project, {"cashflows": (-1.0, INF, 1.0)}, "cash flows must be finite"),
     (MortgageTerms, {"loan_to_value": 5.0}, "loan_to_value must be in"),
     (MortgageTerms, {"loan_to_value": -0.1}, "loan_to_value must be in"),
-    (MortgageTerms, {"annual_rate": NAN}, "annual_rate must be finite"),
+    (MortgageTerms, {"annual_rate": NAN}, "annual_rate must be greater than -1 and finite, got nan"),
     (MortgageTerms, {"annual_rate": -1.0}, "annual_rate must be greater than -1"),
     (MortgageTerms, {"amortization_months": 0}, "amortization_months must be >= 1"),
     (MortgageTerms, {"amortization_months": 360.5}, "amortization_months must be an integer"),
     (MortgageTerms, {"holding_years": 0}, "holding_years must be >= 1"),
     (MortgageTerms, {"amortization_months": 100}, "must cover the holding period"),
-    (AppreciationSpec, {"asset_change": NAN}, "appreciation fractions must be finite"),
-    (AppreciationSpec, {"income_change": -INF}, "appreciation fractions must be finite"),
-    (AppreciationSpec, {"asset_change": -1.5}, "asset_change cannot fall below -1"),
+    (AppreciationSpec, {"asset_change": NAN}, "asset_change must be >= -1 and finite, got nan"),
+    (AppreciationSpec, {"income_change": -INF}, "income_change must be finite, got -inf"),
+    (AppreciationSpec, {"asset_change": -1.5}, "asset_change must be >= -1 and finite, got -1.5"),
     (RecurrenceSpec, {"multiplier": NAN}, "multiplier must be finite"),
     (RecurrenceSpec, {"increment": INF}, "increment must be finite"),
     (RecurrenceSpec, {"seed": -INF}, "seed must be finite"),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ TABLE = Path(__file__).parent / "validation.json"
 PROBES = (math.nan, math.inf, -math.inf, -1.0, 0, True, 2.5, 12.0)
 # results whose repr is longer than this are pinned by a hash of it
 MAX_REPR = 120
+# an outcome that is an exception, "TypeName: message"; no repr starts so
+RAISED = re.compile(r"[A-Za-z]\w*: ")
 
 SPEC = recurrence.RecurrenceSpec(1.02, 5.0, 100.0)
 OFFSET = recurrence.OffsetStreamSpec(100.0, 2.0, SPEC)
@@ -198,15 +201,6 @@ NO_NUMERIC_ARGUMENT = {
     "schedule_to_dict", "schedule_to_json", "IrrResult", "ComparisonReport", "DEFAULT_IRR_BOUNDS", "negate",
     "npv_slope_class", "project_from_dict", "align_table",
 }
-# period counts where 12 is accepted and 12.0 is not: a known defect, pinned
-# as a strict xfail so that its fix has to remove this entry
-KNOWN_FLOAT_COUNT_FAILURES = {
-    ("hoskold_income_stream", "n"): "range() is handed the count as given, so 12.0 raises TypeError",
-    **{
-        (case, "places"): "places is only range-checked, so 12.0 reaches an index and raises TypeError"
-        for case in ("schedule_to_table", "format_fixed", "format_percent")
-    },
-}
 
 
 def _with(args: tuple, position, value) -> tuple:
@@ -255,14 +249,27 @@ def test_outcomes_match_the_table(case):
     assert outcomes(case) == json.loads(TABLE.read_text(encoding="utf-8"))[case]
 
 
+def test_non_finite_scalars_are_rejected_by_name():
+    """A scalar argument that rejects nan, inf or -inf does so with a
+    ValueError whose message starts with the argument's name."""
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    breaches = [
+        (case, argument, result)
+        for case, (_, _, arguments) in CASES.items()
+        for argument, (position, _) in arguments.items()
+        if not isinstance(position, tuple)  # an element of a list is no scalar argument
+        for probe in ("nan", "inf", "-inf")
+        if RAISED.match(result := table[case][argument][probe])
+        and not result.startswith(f"ValueError: {argument} ")
+    ]
+    assert breaches == []
+
+
 def _count_cases():
     for case, (_, _, arguments) in sorted(CASES.items()):
         for argument, (position, kind) in arguments.items():
-            if kind != "n":
-                continue
-            reason = KNOWN_FLOAT_COUNT_FAILURES.get((case, argument))
-            marks = pytest.mark.xfail(raises=TypeError, reason=reason) if reason else ()
-            yield pytest.param(case, position, id=f"{case}-{argument}", marks=marks)
+            if kind == "n":
+                yield pytest.param(case, position, id=f"{case}-{argument}")
 
 
 @pytest.mark.parametrize(("case", "position"), _count_cases())
