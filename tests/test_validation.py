@@ -1,12 +1,14 @@
 """Error contract of the public math functions, pinned argument by argument.
 
 Every public function of timevalue, recurrence, capitalization,
-amortization, projects and render that takes a number is called with valid arguments except
-at one numeric position, which takes each of PROBES in turn: nan, inf,
--inf, a rate of -1, a count of 0, True, 2.5 and 12.0. The outcome (the
-exception type and exact message, or the repr of the result, hashed when
-it is long) must equal the entry in tests/validation.json. A period count
-of 12.0 must also give the same result as 12 wherever 12 is accepted.
+amortization, projects and render that takes a number is called with
+valid arguments except at one numeric position, which takes each of
+PROBES in turn: nan, inf, -inf, a rate of -1, a count of 0, True, 2.5 and
+12.0. The outcome (the exception type and exact message, or the repr of
+the result, hashed when it is long) must equal the entry in
+tests/validation.json. A count of 12.0 must also give the same result as
+12 wherever 12 is accepted, and a scalar argument that rejects nan, inf
+or -inf must do so with a ValueError that names it first.
 
 To rewrite the table after an intended change, run this file as a script:
 PYTHONPATH=src python tests/test_validation.py
