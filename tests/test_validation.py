@@ -42,12 +42,11 @@ PROJECT = projects.Project("A", (-100.0, 60.0, 60.0))
 LATER = projects.Project("B", (-100.0, 20.0, 100.0))
 IRR = projects.irr_all(PROJECT)
 REPORT = projects.compare_pairwise(PROJECT, LATER)
-BOUNDS = {"bounds[0]": ((1, 0), "x"), "bounds[1]": ((1, 1), "x")}
 
 RATE_N = {"rate": (0, "x"), "n": (1, "n")}
 
 # case -> (function, valid arguments, {argument: (position, kind)}); kind "n"
-# marks a period count; a (position, index) pair is an element of a list
+# marks a count; a (position, index) pair is an element of a list
 CASES = {
     **{
         name: (getattr(timevalue, name), (0.05, 10), RATE_N)
@@ -179,10 +178,12 @@ CASES = {
     "schedule_to_table": (amortization.schedule_to_table, (SCHEDULE, 2), {"places": (1, "n")}),
     "npv": (projects.npv, (PROJECT, 0.1), {"rate": (1, "x")}),
     "Project": (projects.Project, ("A", (-100.0, 60.0, 60.0)), {"cashflows[0]": ((1, 0), "x")}),
-    "irr_all": (projects.irr_all, (PROJECT, (-0.5, 1.0)), BOUNDS),
-    "compare_pairwise": (projects.compare_pairwise, (PROJECT, LATER, (-0.5, 1.0)), {
-        "bounds[0]": ((2, 0), "x"), "bounds[1]": ((2, 1), "x")
-    }),
+    "irr_all": (projects.irr_all, (PROJECT, (-0.5, 1.0)), {"bounds[0]": ((1, 0), "x"), "bounds[1]": ((1, 1), "x")}),
+    "compare_pairwise": (
+        projects.compare_pairwise,
+        (PROJECT, LATER, (-0.5, 1.0)),
+        {"bounds[0]": ((2, 0), "x"), "bounds[1]": ((2, 1), "x")},
+    ),
     "profitability_test": (projects.profitability_test, (PROJECT, 0.1), {"rate": (1, "x")}),
     **{
         name: (getattr(projects, name), (PROJECT, IRR, (0.1,)), {"npv_rates[0]": ((2, 0), "x")})
