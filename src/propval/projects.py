@@ -254,7 +254,7 @@ def _sign_changes(flows) -> int:
 
 
 def irr_all(project: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS) -> IrrResult:
-    """Find every IRR in bounds by certified root isolation.
+    """Find every IRR in bounds, two finite rates above -1, by certified root isolation.
 
     NPV is a polynomial in w = 1/(1+r), searched on two charts with x in
     (0, 1]: x = w with coefficients C_t for r >= 0, and x = 1+r with the
@@ -276,7 +276,7 @@ def irr_all(project: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS) 
     """
     if not any(c != 0.0 for c in project.cashflows):
         raise ValueError("project has no nonzero cash flows; IRR undefined")
-    lo, hi = _check_real(bounds[0], "lower bound", _RATE), float(bounds[1])
+    lo, hi = _check_real(bounds[0], "lower bound", _RATE), _check_real(bounds[1], "upper bound", _RATE)
     if not hi > lo:
         raise ValueError(f"bounds must be increasing, got {bounds!r}")
     flows = project.cashflows
@@ -337,6 +337,7 @@ def profitability_test(project: Project, rate: float) -> str:
     tolerance of the IRR count as not below it, so an NPV of zero reads
     as unprofitable.
     """
+    rate = _check_real(rate, "rate", _RATE)
     if npv_slope_class(project) != "decreasing":
         return "inapplicable"
     result = irr_all(project)

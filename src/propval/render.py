@@ -12,14 +12,15 @@ binary value of x, and that gives the same digits as rounding its shortest
 repr whenever no rounding boundary lies between the two. The boundaries
 are the ties (k + 1/2) / 10**p, and the repr lies within half an ulp of x,
 so a boundary can only fall between them when the repr is itself (nearly)
-the tie. _float_rounding_agrees checks this; ties such as 2.675, values of
-2**40 / 10**p and above, and inf and nan take the Decimal path. A negative
-value that rounds to zero formats as its absolute value, the unsigned zero.
+the tie. _float_rounding_agrees checks this; ties such as 2.675 and values
+of 2**40 / 10**p and above take the Decimal path, and inf and nan, which
+have no digits to round, raise ValueError. A negative value that rounds to
+zero formats as its absolute value, the unsigned zero.
 """
 
 from __future__ import annotations
 
-from math import copysign, isinf, isnan
+from math import copysign, isfinite
 
 from .timevalue import _check_periods, _check_real
 
@@ -69,8 +70,7 @@ def format_fixed(value: float, places: int) -> str:
         # only a negative value that rounds to zero fails the test above and
         # passes this one: its absolute value prints the unsigned zero
         return format(-value, _FIXED_SPECS[places])
-    # nan prints as NaN, as Decimal prints it; inf has no digits to round
-    return _format_decimal(value if isnan(value) else _check_real(value, "value"), places)
+    return _format_decimal(_check_real(value, "value"), places)
 
 
 def _format_decimal(value: float, places: int, scale: int = 0) -> str:
@@ -92,7 +92,7 @@ def format_percent(rate: float, places: int = 2) -> str:
     scaled on its decimal digits instead.
     """
     percent = rate * 100.0
-    if isinf(percent):
+    if not isfinite(percent):
         places = _check_periods(places, "places", 0, MAX_PLACES)
         return _format_decimal(_check_real(rate, "rate"), places, scale=2) + "%"
     return format_fixed(percent, places) + "%"

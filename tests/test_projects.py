@@ -114,6 +114,13 @@ class TestIrrAll:
         with pytest.raises(ValueError):
             irr_all(Project("z", (0.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("upper", [math.inf, math.nan, -1.0])
+    def test_rejects_upper_bound_outside_the_rates(self, upper):
+        # a first flow of 0 puts a root at x = 0 of the w chart; with an
+        # infinite upper bound, mapping it back through 1/x - 1 divides by 0
+        with pytest.raises(ValueError, match="upper bound must be greater than -1 and finite"):
+            irr_all(Project("D", (0.0, 40.0, -40.0)), (-0.5, upper))
+
 
 def _monthly_loan(principal: float, rate: float, months: int = 360) -> Project:
     payment = principal * rate / (1.0 - (1.0 + rate) ** -months)
