@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import _EXPORTS
 from ._record import record
-from .recurrence import ellwood_j_factor
+from .recurrence import _j_factor
 from .timevalue import _CHANGE, _FRACTION, _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff
 
 __all__ = list(_EXPORTS["capitalization"])
@@ -162,9 +162,7 @@ def mortgage_constant(annual_rate: float, amortization_months: int) -> float:
 
 
 def ellwood_cap_rate(
-    terms: MortgageTerms,
-    equity_yield: float,
-    appreciation: AppreciationSpec = AppreciationSpec(),
+    terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec = AppreciationSpec()
 ) -> EllwoodRate:
     """Mortgage-equity cap rate for a constant income over the hold.
 
@@ -174,8 +172,26 @@ def ellwood_cap_rate(
     balance at 12H). The akerson_rate field carries the equivalent
     regrouping M*Rm + (1-M)Y - M*P*SFF - change*SFF.
     """
+    return _ellwood(terms, _check_real(equity_yield, "equity_yield", _RATE), appreciation)
+
+
+def ellwood_j_cap_rate(
+    terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec, n_for_j: int | None = None
+) -> EllwoodRate:
+    """Mortgage-equity cap rate when income changes over the hold.
+
+    R = (Y - M*C - change*SFF) / (1 + delta*J): the constant-income rate
+    divided by one plus the relative income change scaled by the J factor.
+    J is computed at the equity yield over the holding period unless
+    n_for_j overrides the horizon.
+    """
     equity_yield = _check_real(equity_yield, "equity_yield", _RATE)
-    # the record validated its fields, so they go to the kernels unchecked
+    horizon = terms.holding_years if n_for_j is None else _check_periods(n_for_j, name="n_for_j")
+    return _ellwood(terms, equity_yield, appreciation, int(horizon))  # the record checked holding_years
+
+
+def _ellwood(terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec, j_horizon: int | None = None):
+    # the rate, divided by 1 + delta*J when J has a horizon; the records validated their fields
     m, h, months = terms.loan_to_value, terms.holding_years, terms.amortization_months
     monthly = terms.annual_rate / 12.0
     change = appreciation.asset_change
@@ -188,30 +204,13 @@ def ellwood_cap_rate(
     c_factor = equity_yield + paid * sff - r_m
     rate = equity_yield - m * c_factor - change * sff
     akerson = m * r_m + (1.0 - m) * equity_yield - m * paid * sff - change * sff
-    return EllwoodRate(rate, c_factor, r_m, paid, bal, sff, akerson)
-
-
-def ellwood_j_cap_rate(
-    terms: MortgageTerms,
-    equity_yield: float,
-    appreciation: AppreciationSpec,
-    n_for_j: int | None = None,
-) -> EllwoodRate:
-    """Mortgage-equity cap rate when income changes over the hold.
-
-    R = (Y - M*C - change*SFF) / (1 + delta*J): the constant-income rate
-    divided by one plus the relative income change scaled by the J factor.
-    J is computed at the equity yield over the holding period unless
-    n_for_j overrides the horizon.
-    """
-    base = ellwood_cap_rate(terms, equity_yield, appreciation)
-    horizon = terms.holding_years if n_for_j is None else _check_periods(n_for_j, name="n_for_j")
-    j = ellwood_j_factor(equity_yield, horizon)
-    delta = appreciation.income_change
+    if j_horizon is None:
+        return EllwoodRate(rate, c_factor, r_m, paid, bal, sff, akerson)
+    j, delta = _j_factor(equity_yield, j_horizon), appreciation.income_change
     denom = 1.0 + delta * j
     if denom == 0.0:
         raise ValueError("income change cancels the J adjustment; rate undefined")
-    return EllwoodRate(base.rate / denom, *base[1:6], base.akerson_rate / denom, j, delta)
+    return EllwoodRate(rate / denom, c_factor, r_m, paid, bal, sff, akerson / denom, j, delta)
 
 
 def recovery_cap_rate(method: str, rate: float, n: int, safe_rate: float | None = None) -> float:

@@ -24,10 +24,10 @@ check raises ValueError("<name> must be <range>, got <value>"):
   is >= 1, a payment index k >= 0, and decimal places are in 0..12 ("n
   must be >= 1, got 0", "n must be an integer, got 2.5").
 
-The private kernels _annuity, _accumulation and _sff hold each formula and
-its zero-rate branch once and check nothing; a caller hands them only
-values it has checked, or fields of a record that validated them when it
-was built.
+The private kernels _annuity, _accumulation, _sff and _increasing hold each
+formula and its zero-rate branch once and check nothing; a caller hands
+them only values it has checked, or fields of a record that validated them
+when it was built.
 """
 
 from __future__ import annotations
@@ -78,7 +78,40 @@ def _annuity(rate: float, n: int) -> float:
 def _accumulation(rate: float, n: int) -> float:
     if rate == 0.0:
         return float(n)
+    if rate <= -1.0:  # a base 1 + rate <= 0 has no logarithm
+        return ((1.0 + rate) ** n - 1.0) / rate
     return math.expm1(n * math.log1p(rate)) / rate
+
+
+def _increasing(growth: float, rate: float, n: int) -> float:
+    """Value at rate of the accumulation factors s(1, g), ..., s(n, g).
+
+    That is v P[q, v, 1], the second divided difference of P(y) = y^(n+1)
+    at q = (1+g)/(1+i), v = 1/(1+i) and 1, taken across the widest gap with
+    each first difference an _accumulation. When n times that gap is below
+    1/16, and at n = 0, where P is linear, the Taylor series about 1 is
+    summed instead: C(n+1, k+2) h_k(q-1, v-1) over k, h_k the complete
+    homogeneous polynomial of degree k. Its twelve terms leave a tail below
+    1e-19 of the sum, as term k is at most (n+1)^2 (k+1) 8^-k / (k+2)!.
+    """
+    v = 1.0 / (1.0 + rate)
+    q1, v1, qv = (growth - rate) * v, -rate * v, growth * v  # q - 1, v - 1, q - v
+    wq, w1, wv = abs(qv), abs(q1), abs(v1)
+    if wq >= w1 and wq >= wv:
+        if n * wq >= 0.0625:
+            return v * (_accumulation(q1, n + 1) - _accumulation(v1, n + 1)) / qv
+    elif n * (w1 if w1 >= wv else wv) >= 0.0625:
+        p_qv = math.exp(-n * math.log1p(rate)) * _accumulation(growth, n + 1)  # P[q, v] = v^n s(n+1, g)
+        if w1 >= wv:
+            return v * (p_qv - _accumulation(v1, n + 1)) / q1
+        return v * (p_qv - _accumulation(q1, n + 1)) / v1
+    total, h, v1_k, binomial = 0.0, 1.0, 1.0, n * (n + 1) / 2.0
+    for k in range(min(n, 12)):
+        total += binomial * h
+        v1_k *= v1
+        h = q1 * h + v1_k
+        binomial *= (n - 1 - k) / (k + 3)
+    return v * total
 
 
 def _sff(rate: float, n: int) -> float:

@@ -114,6 +114,54 @@ def bal_form2_exact(k: int, n: int, rate: float) -> float:
     return float(value)
 
 
+def recurrence_term_exact(multiplier, increment, seed, k: int) -> Fraction:
+    """y_k of y_j = m*y_(j-1) + b from y_0 = c, iterated in exact rationals."""
+    m, b, y = Fraction(multiplier), Fraction(increment), Fraction(seed)
+    for _ in range(k):
+        y = m * y + b
+    return y
+
+
+def recurrence_pv_exact(multiplier, increment, seed, rate, n: int) -> Fraction:
+    """Sum of y_k / (1+i)^k over k = 1..n, term by term in exact rationals.
+
+    Takes floats or Fractions; every named stream of the recurrence module
+    is one of these: y_k = d - (k-1)h is m = 1, b = -h, c = d + h, and
+    (1+g)^(k-1) is m = 1+g, b = 0, c = 1/(1+g).
+    """
+    m, b, y = Fraction(multiplier), Fraction(increment), Fraction(seed)
+    v = 1 / (1 + Fraction(rate))
+    total, factor = Fraction(0), Fraction(1)
+    for _ in range(n):
+        y = m * y + b
+        factor *= v
+        total += y * factor
+    return total
+
+
+def ellwood_j_exact(rate, n: int) -> float:
+    """J = (value of s_1..s_n) / (a_n s_n), from exact sums rounded once.
+
+    With 1 + i = A/D in lowest terms, A^n times the value of s_1..s_n is
+    the sum of (n-l+1) D^l A^(n-l) over l = 1..n, A^n a_n the sum of
+    D^l A^(n-l), and D^(n-1) s_n the sum of A^k D^(n-1-k) over k < n. The
+    sums run on integers, by Horner's rule, and the one division rounds
+    correctly: a rate such as 1e-300 is exact only with a 1000-bit
+    denominator, and reducing a Fraction of that size at each step is slow.
+    """
+    growth = 1 + Fraction(rate)
+    a, d = growth.numerator, growth.denominator
+    stream = annuity = accumulated = 0
+    d_l = a_k = 1
+    for l in range(1, n + 1):
+        d_l *= d
+        stream = stream * a + (n - l + 1) * d_l
+        annuity = annuity * a + d_l
+        accumulated = accumulated * d + a_k
+        a_k *= a
+    return stream * (d_l // d) / (annuity * accumulated)
+
+
 def format_fixed_oracle(value: float, places: int) -> str:
     """Shortest repr rounded half away from zero to places decimals, by Decimal.
 

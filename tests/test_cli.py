@@ -345,6 +345,44 @@ class TestIrrCommand:
             assert table_rows[entry["name"]][5] == (", ".join(format_percent(r) for r in roots) or "none")
 
 
+class TestVanishingGaps:
+    """Changing-income values where a rate or a multiplier gap is (nearly) 0.
+
+    The exact values: 1000 + 100k summed over ten periods, J = 0.55 at a
+    yield of 1e-9 over 10 years, and J = 1 over a one-year hold at any
+    yield, also at 1e-300, where 1 - (1+i)^-n rounds to 0.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (
+                ["value", "recurrence", "--m", "1.000000000002", "--b", "100", "--c", "1000", "--i", "1e-13", "--n", "10"],
+                ["15500.00"],
+            ),
+            (
+                [
+                    "caprate", "ellwood-j", "--m", "0.7", "--i", "0.08", "--months", "360", "--hold", "10",
+                    "--y", "1e-9", "--delta0", "0", "--delta", "0.2",
+                ],
+                ["j_factor 0.5500"],
+            ),
+            (
+                [
+                    "caprate", "ellwood-j", "--m", "1e-300", "--i", "0", "--months", "360", "--hold", "1",
+                    "--y", "1e-300", "--delta0", "-1", "--delta", "-0.999",
+                ],
+                ["rate 1000.0000", "j_factor 1.0000"],
+            ),
+        ],
+        ids=["recurrence-near-level", "ellwood-j-small-yield", "ellwood-j-tiny-yield"],
+    )
+    def test_prints_the_exact_value(self, run, argv, lines):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert set(lines) <= set(out.splitlines())
+
+
 class TestErrorContract:
     @pytest.mark.parametrize(
         "argv, message",
@@ -359,18 +397,11 @@ class TestErrorContract:
             (["caprate", "band", "--m", "0.7", "--i", "nan", "--y", "0.12"], "finite number"),
             (["irr", "A", "--npv-at", "0.1,inf"], "finite number"),
             (["irr", "A", "--bounds=0.1,inf"], "finite number"),
-            (
-                [
-                    "caprate", "ellwood-j", "--m", "1e-300", "--i", "0", "--months", "360", "--hold", "1",
-                    "--y", "1e-300", "--delta0", "-1", "--delta", "-0.999",
-                ],
-                "too close to zero",
-            ),
             (["tvm", "annuity", "--rate", "0.1", "--n", "5", "--precision", "13"], "--precision must be in 0..12"),
         ],
         ids=[
             "tvm-overflow", "value-overflow", "amort-overflow", "infinite-result", "nan-option", "npv-at-inf",
-            "bounds-inf", "ellwood-j-tiny-yield", "precision-too-large",
+            "bounds-inf", "precision-too-large",
         ],
     )
     def test_clean_error_exit_1(self, run, project_files, argv, message):

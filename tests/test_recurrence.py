@@ -21,7 +21,15 @@ from propval import (
     value_recurrence_stream,
 )
 
-from oracles import accumulation_sum, annuity_sum, recurrence_stream, relclose, stream_pv
+from oracles import (
+    accumulation_sum,
+    annuity_sum,
+    ellwood_j_exact,
+    recurrence_pv_exact,
+    recurrence_stream,
+    relclose,
+    stream_pv,
+)
 
 COUNTING = RecurrenceSpec(multiplier=1.0, increment=1.0, seed=0.0)
 
@@ -234,8 +242,9 @@ class TestAccumulationStreamValue:
         assert accumulation_stream_value(0.25, 8) == pytest.approx(18.684354559999996, rel=1e-12)
 
     def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            accumulation_stream_value(0.0, 5)
+        # a zero rate is no longer rejected: it is a removable singularity,
+        # and the value is its limit n(n+1)/2, the undiscounted 1 + 2 + ... + n
+        assert accumulation_stream_value(0.0, 5) == float(recurrence_pv_exact(1, 1, 0, 0, 5)) == 15.0
 
 
 class TestEllwoodJFactor:
@@ -262,14 +271,14 @@ class TestEllwoodJFactor:
                 assert ellwood_j_factor(i, n) > 0.0
 
     def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            ellwood_j_factor(0.0, 5)
+        # a zero rate is no longer rejected: J takes its limit (n+1)/(2n)
+        assert ellwood_j_factor(0.0, 5) == ellwood_j_exact(0, 5) == 0.6
 
     @pytest.mark.parametrize("rate, n", [(1e-300, 1), (1e-300, 360), (1e-17, 5), (-1e-17, 5)])
     def test_rejects_rate_whose_discount_rounds_away(self, rate, n):
-        # 1 - (1+i)^-n rounds to 0, which would divide by zero
-        with pytest.raises(ValueError, match="too close to zero"):
-            ellwood_j_factor(rate, n)
+        # 1 - (1+i)^-n rounds to 0 here, which the closed form divided by;
+        # such a rate is no longer rejected, and J is the double nearest it
+        assert ellwood_j_factor(rate, n) == ellwood_j_exact(rate, n)
 
 
 class TestHoskoldStream:
