@@ -162,7 +162,9 @@ def mortgage_constant(annual_rate: float, amortization_months: int) -> float:
 
 
 def ellwood_cap_rate(
-    terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec = AppreciationSpec()
+    terms: MortgageTerms,
+    equity_yield: float,
+    appreciation: AppreciationSpec = AppreciationSpec(),
 ) -> EllwoodRate:
     """Mortgage-equity cap rate for a constant income over the hold.
 
@@ -176,7 +178,10 @@ def ellwood_cap_rate(
 
 
 def ellwood_j_cap_rate(
-    terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec, n_for_j: int | None = None
+    terms: MortgageTerms,
+    equity_yield: float,
+    appreciation: AppreciationSpec,
+    n_for_j: int | None = None,
 ) -> EllwoodRate:
     """Mortgage-equity cap rate when income changes over the hold.
 

@@ -2,13 +2,12 @@
 
 A stream is generated by y_0 = seed and y_k = multiplier * y_(k-1) +
 increment; taking y_k as the income at the end of period k, the present
-value is a divided difference of a power, which the kernels
-timevalue._accumulation and _increasing keep accurate as a gap such as i,
-m - 1 or m - 1 - i vanishes. The offset form values streams that start at
-a level d and shed y_k-sized slices of it each period, which covers the
-straight-line declining annuity, the constant-ratio growth annuity, the
-income stream behind the accelerating-change cap-rate premise, and the
-sinking-fund declining streams behind the Ring and Hoskold methods.
+value is a divided difference of a power, kept accurate as i, m - 1 or
+m - 1 - i vanishes by the kernels timevalue._accumulation and _increasing.
+Offset streams, which start at a level d and shed y_k-sized slices of it,
+cover the straight-line declining annuity, the constant-ratio growth
+annuity, the income behind the accelerating-change cap-rate premise, and
+the sinking-fund declining streams behind the Ring and Hoskold methods.
 """
 
 from __future__ import annotations
@@ -87,14 +86,14 @@ def value_recurrence_stream(spec: RecurrenceSpec, rate: float, n: int) -> float:
 def value_offset_stream(spec: OffsetStreamSpec, rate: float, n: int) -> float:
     """Present value of d, d - y_1*h, ..., d - y_(n-1)*h discounted at rate.
 
-    Evaluated as [d + bh/m] a_n - h V_n / m + h c / (1+i), which reuses the
-    closed form for V_n above.
+    d a_n less h/(1+i) times the value of y_1..y_(n-1): each slice y_k*h
+    is shed one period after y_k.
     """
     rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
-    d, h, (m, b, c) = spec
-    v_n = value_recurrence_stream(spec.recurrence, rate, n)
-    return (d + b * h / m) * _annuity(rate, n) - h * v_n / m + h * c / (1.0 + rate)
+    d, h, recurrence = spec
+    shed = value_recurrence_stream(recurrence, rate, n - 1) / (1.0 + rate) if n > 1 else 0.0
+    return d * _annuity(rate, n) - h * shed
 
 
 def straight_line_annuity_value(d: float, h: float, rate: float, n: int) -> float:

@@ -100,11 +100,10 @@ def _increasing(growth: float, rate: float, n: int) -> float:
     if wq >= w1 and wq >= wv:
         if n * wq >= 0.0625:
             return v * (_accumulation(q1, n + 1) - _accumulation(v1, n + 1)) / qv
-    elif n * (w1 if w1 >= wv else wv) >= 0.0625:
+    elif n * (w1 if w1 >= wv else wv) >= 0.0625:  # P[q, v, 1] = (P[q, v] - P[v, 1]) / (q - 1), or q and v swapped
+        gap, other = (q1, v1) if w1 >= wv else (v1, q1)
         p_qv = math.exp(-n * math.log1p(rate)) * _accumulation(growth, n + 1)  # P[q, v] = v^n s(n+1, g)
-        if w1 >= wv:
-            return v * (p_qv - _accumulation(v1, n + 1)) / q1
-        return v * (p_qv - _accumulation(q1, n + 1)) / v1
+        return v * (p_qv - _accumulation(other, n + 1)) / gap
     total, h, v1_k, binomial = 0.0, 1.0, 1.0, n * (n + 1) / 2.0
     for k in range(min(n, 12)):
         total += binomial * h

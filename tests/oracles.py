@@ -139,6 +139,14 @@ def recurrence_pv_exact(multiplier, increment, seed, rate, n: int) -> Fraction:
     return total
 
 
+def offset_pv_exact(first_income, decrement, multiplier, increment, seed, rate, n: int) -> Fraction:
+    """d at period 1, then d - h*y_k at period k+1, discounted term by term
+    in exact rationals."""
+    d, h, v = Fraction(first_income), Fraction(decrement), 1 / (1 + Fraction(rate))
+    incomes = [d] + [d - h * recurrence_term_exact(multiplier, increment, seed, k) for k in range(1, n)]
+    return sum(income * v**k for k, income in enumerate(incomes, 1))
+
+
 def ellwood_j_exact(rate, n: int) -> float:
     """J = (value of s_1..s_n) / (a_n s_n), from exact sums rounded once.
 

@@ -1,13 +1,15 @@
-"""Accuracy of the changing-income forms near their removable singularities.
+"""Accuracy of the factor and changing-income forms, gaps down to 0 included.
 
 Each closed form is compared with an exact Fraction sum of its stream
 (tests/oracles.py) and must satisfy |computed - exact| <= BOUND * scale.
-The scale is the present value of the same stream with every parameter in
-absolute value (|m|, |b|, |c|; |d|, |h|); for the constant-ratio annuity,
-the accumulation stream and J it is the value itself. Rates lie in
-[-0.5, 1], multipliers in [-2, 3] and horizons in 1..40, and the gaps the
-forms divide by (i, m - 1, m - 1 - i, g - i) are drawn as exactly 0 or
-with a magnitude in [1e-15, 1e-1], where cancellation is worst.
+The scale of a changing-income value or term is the same value or term
+with every parameter in absolute value (|m|, |b|, |c|; |d|, |h|); for the
+constant-ratio annuity, the accumulation stream, J and the six factors it
+is the value itself, and for the balance fractions the unit loan. Rates
+lie in [-0.5, 1], multipliers in [-2, 3] and horizons in 1..40, and the
+gaps the forms divide by (i, m - 1, m - 1 - i, g - i) are drawn as
+exactly 0 or with a magnitude in [1e-15, 1e-1], where cancellation is
+worst.
 """
 
 from __future__ import annotations
@@ -18,16 +20,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propval import (
+    OffsetStreamSpec,
     RecurrenceSpec,
+    accumulation,
     accumulation_stream_value,
+    annuity_pv,
+    balance_fraction,
+    compound_amount,
     constant_ratio_annuity_value,
     ellwood_j_factor,
+    installment_to_amortize,
+    portion_paid,
+    pv_reversion,
     recurrence_term,
+    sinking_fund_factor,
     straight_line_annuity_value,
+    value_offset_stream,
     value_recurrence_stream,
 )
 
-from oracles import ellwood_j_exact, recurrence_pv_exact, recurrence_term_exact
+from oracles import ellwood_j_exact, offset_pv_exact, recurrence_pv_exact, recurrence_term_exact
 
 BOUND = Fraction(1e-12)
 EXAMPLES = settings(derandomize=True, max_examples=150, deadline=None)
@@ -72,6 +84,15 @@ def test_value_recurrence_stream(data, rate, n, b, c):
 
 
 @EXAMPLES
+@given(st.data(), RATES, COUNTS, AMOUNTS, AMOUNTS, AMOUNTS, AMOUNTS)
+def test_value_offset_stream(data, rate, n, d, h, b, c):
+    m = data.draw(_multipliers(rate))
+    exact = offset_pv_exact(d, h, m, b, c, rate, n)
+    scale = offset_pv_exact(abs(d), -abs(h), abs(m), abs(b), abs(c), rate, n)  # incomes |d| + |h| |y_k|
+    _assert_within(value_offset_stream(OffsetStreamSpec(d, h, RecurrenceSpec(m, b, c)), rate, n), exact, scale)
+
+
+@EXAMPLES
 @given(AMOUNTS, AMOUNTS, RATES, COUNTS)
 def test_straight_line_annuity_value(d, h, rate, n):
     exact = recurrence_pv_exact(1, -h, Fraction(d) + Fraction(h), rate, n)
@@ -100,3 +121,24 @@ def test_accumulation_stream_value(rate, n):
 def test_ellwood_j_factor(rate, n):
     nearest = Fraction(ellwood_j_exact(rate, n))  # within 2^-53 of J in relative terms
     _assert_within(ellwood_j_factor(rate, n), nearest, nearest)
+
+
+@EXAMPLES
+@given(st.data(), RATES, COUNTS)
+def test_timevalue_factors(data, rate, n):
+    # scale: the factor itself, and the unit loan for the balance fractions
+    growth = 1 + Fraction(rate)
+    a_n, s_n = sum(growth**-t for t in range(1, n + 1)), sum(growth**t for t in range(n))
+    for function, exact in (
+        (compound_amount, growth**n),
+        (pv_reversion, growth**-n),
+        (annuity_pv, a_n),
+        (installment_to_amortize, 1 / a_n),
+        (accumulation, s_n),
+        (sinking_fund_factor, 1 / s_n),
+    ):
+        _assert_within(function(rate, n), exact, exact)
+    k = data.draw(st.integers(0, n))
+    owed = sum(growth**-t for t in range(1, n - k + 1)) / a_n
+    _assert_within(balance_fraction(k, n, rate), owed, Fraction(1))
+    _assert_within(portion_paid(k, n, rate), 1 - owed, Fraction(1))

@@ -357,7 +357,10 @@ class TestVanishingGaps:
         "argv, lines",
         [
             (
-                ["value", "recurrence", "--m", "1.000000000002", "--b", "100", "--c", "1000", "--i", "1e-13", "--n", "10"],
+                [
+                    "value", "recurrence", "--m", "1.000000000002", "--b", "100", "--c", "1000", "--i", "1e-13",
+                    "--n", "10",
+                ],
                 ["15500.00"],
             ),
             (

@@ -25,6 +25,7 @@ from oracles import (
     accumulation_sum,
     annuity_sum,
     ellwood_j_exact,
+    offset_pv_exact,
     recurrence_pv_exact,
     recurrence_stream,
     relclose,
@@ -159,6 +160,13 @@ class TestValueOffsetStream:
             oracle = stream_pv([d] + [d - h * y for y in offsets], i)
             assert relclose(value_offset_stream(spec, i, n), oracle, rel=1e-9, abs_floor=1e-8)
 
+    def test_large_increment_does_not_cancel(self):
+        # b*h/m is 5e5 times this value: a form that divides by m and adds
+        # such terms back loses 1e-10 of it
+        d, h, m, b, c, i = -2.195361446424029, -896.752429557636, 1.0000083267552788, -986.9284864511649, 0.0029, 0.35
+        spec = OffsetStreamSpec(d, h, RecurrenceSpec(m, b, c))
+        assert value_offset_stream(spec, i, 1) == pytest.approx(float(offset_pv_exact(d, h, m, b, c, i, 1)), rel=1e-14)
+
     def test_rejects_zero_multiplier(self):
         with pytest.raises(ValueError):
             OffsetStreamSpec(100.0, 1.0, RecurrenceSpec(0.0, 1.0, 0.0))
@@ -242,8 +250,8 @@ class TestAccumulationStreamValue:
         assert accumulation_stream_value(0.25, 8) == pytest.approx(18.684354559999996, rel=1e-12)
 
     def test_rejects_zero_rate(self):
-        # a zero rate is no longer rejected: it is a removable singularity,
-        # and the value is its limit n(n+1)/2, the undiscounted 1 + 2 + ... + n
+        # a zero rate is a removable singularity, where the value is its
+        # limit n(n+1)/2, the undiscounted 1 + 2 + ... + n
         assert accumulation_stream_value(0.0, 5) == float(recurrence_pv_exact(1, 1, 0, 0, 5)) == 15.0
 
 
@@ -271,13 +279,13 @@ class TestEllwoodJFactor:
                 assert ellwood_j_factor(i, n) > 0.0
 
     def test_rejects_zero_rate(self):
-        # a zero rate is no longer rejected: J takes its limit (n+1)/(2n)
+        # a zero rate is a removable singularity, where J is its limit (n+1)/(2n)
         assert ellwood_j_factor(0.0, 5) == ellwood_j_exact(0, 5) == 0.6
 
     @pytest.mark.parametrize("rate, n", [(1e-300, 1), (1e-300, 360), (1e-17, 5), (-1e-17, 5)])
     def test_rejects_rate_whose_discount_rounds_away(self, rate, n):
-        # 1 - (1+i)^-n rounds to 0 here, which the closed form divided by;
-        # such a rate is no longer rejected, and J is the double nearest it
+        # 1 - (1+i)^-n rounds to 0 at these rates; J is still the double
+        # nearest its exact value
         assert ellwood_j_factor(rate, n) == ellwood_j_exact(rate, n)
 
 

@@ -3,9 +3,10 @@
 For every case of tests/test_validation.py, CALLS seeded calls draw each
 numeric argument of the case from inside the range its checker admits
 (DRAW), and a case whose arguments hold a RecurrenceSpec draws its
-multiplier too. A quarter of the rate draws, and of the multiplier and
-growth draws, land on the removable singularities of the changing-income
-forms: i, m - 1, m - 1 - i and g - i exactly 0 or within 1e-12 of it.
+multiplier too. Some draws land on the removable singularities of the
+changing-income forms, with i, m - 1, m - 1 - i or g - i exactly 0 or
+within 1e-12 of it: a quarter of the rates, half of the multipliers, and
+a quarter of the growth rates of constant_ratio_annuity_value.
 The outcome of each call must equal the entry in tests/results.json: a
 float as float.hex, a list or record as the list of its encoded fields,
 an exception as "TypeName: message", and an encoding longer than MAX_TEXT
