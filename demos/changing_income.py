@@ -9,7 +9,7 @@ import propval as pv
 i = 0.10
 
 # Any first-order recurrence y_k = m*y_(k-1) + b generates a stream, and
-# the present value has a closed form in every regime of m versus 1+i.
+# the present value has one closed form for every m and discount rate i.
 for m, b, c, label in (
     (1.00, 0.0, 50.0, "level 50s"),
     (1.00, 5.0, 45.0, "rising 50, 55, 60, ..."),
