@@ -18,13 +18,27 @@ bits of a result may differ.
 
 To rewrite the table after an intended change, run this file as a script:
 PYTHONPATH=src python tests/test_results.py
+
+To compare this checkout's results with those of another revision, call by
+call, run
+PYTHONPATH=src python tests/test_results.py --against REV [--calls N]
+It checks REV out into a temporary git worktree and runs N seeded calls per
+case (default 10,000) in one child process per tree. Both children import
+this checkout's tests, so they draw the same arguments, and each imports
+its own tree's src. It prints every call whose outcome differs (at most
+MAX_SHOWN per case, then a count) and exits 1 if any does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -36,6 +50,8 @@ from test_validation import CASES, _with
 TABLE = Path(__file__).parent / "results.json"
 CALLS = 30
 MAX_TEXT = 400
+# differing calls printed per case by --against
+MAX_SHOWN = 20
 
 # where each numeric argument is drawn, by name: inside _RATE (greater than
 # -1) for rates, yields and growth, _NONNEGATIVE for safe and recovery
@@ -143,12 +159,12 @@ def outcome(function, args):
     return encoded
 
 
-def outcomes(case: str) -> list:
-    """[[drawn arguments, outcome], ...] for the seeded calls of case."""
+def outcomes(case: str, calls: int = CALLS) -> list:
+    """[[drawn arguments, outcome], ...] for the first calls seeded calls of case."""
     rng = random.Random(f"results:{case}")
     function = CASES[case][0]
     rows = []
-    for _ in range(CALLS):
+    for _ in range(calls):
         args, drawn = draw_call(case, rng)
         rows.append([", ".join(f"{name}={value!r}" for name, value in drawn.items()), outcome(function, args)])
     return rows
@@ -159,6 +175,58 @@ def test_results_match_the_table(case):
     assert outcomes(case) == json.loads(TABLE.read_text(encoding="utf-8"))[case]
 
 
+def stream(calls: int) -> None:
+    """Print one JSON line [case, drawn arguments, outcome] per seeded call."""
+    for case in sorted(CASES):
+        for drawn, result in outcomes(case, calls):
+            print(json.dumps([case, drawn, result]))
+
+
+def against(revision: str, calls: int) -> int:
+    """Count the seeded calls whose outcome differs between revision and this checkout."""
+    tests = Path(__file__).resolve().parent
+    repo = tests.parent
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "tree"
+        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", "--quiet", str(tree), revision], check=True)
+        children = []
+        try:
+            for src in (tree / "src", repo / "src"):
+                children.append(subprocess.Popen(
+                    [sys.executable, "-c", f"import test_results; test_results.stream({calls})"],
+                    cwd=tests,
+                    env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{tests}"},
+                    stdout=subprocess.PIPE,
+                    text=True,
+                ))
+            differing = 0
+            lines = ([json.loads(line) for line in pair] for pair in zip(*(child.stdout for child in children)))
+            for case, pairs in groupby(lines, key=lambda pair: pair[0][0]):
+                diffs = [(old[1], old[2], new[2]) for old, new in pairs if old != new]
+                for drawn, old, new in diffs[:MAX_SHOWN]:
+                    print(f"{case}({drawn}):\n  {revision}: {old}\n  this tree: {new}")
+                if diffs:
+                    print(f"{case}: {len(diffs)} of {calls} calls differ")
+                differing += len(diffs)
+            if any(child.wait() for child in children):
+                raise SystemExit("a child process failed")
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(tree)], check=True)
+    print(f"{differing} differing calls in {calls} seeded calls per case, {len(CASES)} cases, against {revision}")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Rewrite tests/results.json, or compare against a revision.")
+    parser.add_argument("--against", metavar="REV", help="compare every seeded call with REV instead")
+    parser.add_argument("--calls", type=int, default=10_000, metavar="N", help="seeded calls per case (default 10000)")
+    options = parser.parse_args()
+    if options.against:
+        sys.exit(against(options.against, options.calls))
     text = json.dumps({case: outcomes(case) for case in CASES}, indent=1, sort_keys=True)
     TABLE.write_text(text + "\n", encoding="utf-8")
