@@ -19,7 +19,7 @@ import math
 
 from . import _EXPORTS
 from ._record import record
-from .render import MAX_PLACES, _float_rounding_agrees, align_table, format_fixed
+from .render import MAX_PLACES, _float_rounding_agrees, _report_text, format_fixed
 from .timevalue import _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff
 
 __all__ = list(_EXPORTS["amortization"])
@@ -171,14 +171,13 @@ def _row_cells(row: AmortizationRow, places: int) -> list[str]:
 
 def schedule_to_csv(schedule: AmortizationSchedule) -> str:
     """Render rows as CSV, amounts rounded to cents, LF line endings."""
-    lines = [",".join(COLUMNS)] + [",".join(_row_cells(row, 2)) for row in schedule.rows]
-    return "\n".join(lines) + "\n"
+    return _report_text([COLUMNS] + [_row_cells(row, 2) for row in schedule.rows], csv=True)
 
 
 def schedule_to_table(schedule: AmortizationSchedule, places: int) -> str:
     """Render rows as aligned columns, amounts rounded to places decimals."""
     places = _check_periods(places, "places", 0, MAX_PLACES)
-    return align_table([COLUMNS] + [_row_cells(row, places) for row in schedule.rows])
+    return _report_text([COLUMNS] + [_row_cells(row, places) for row in schedule.rows])
 
 
 def schedule_to_dict(schedule: AmortizationSchedule) -> dict:

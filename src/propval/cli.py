@@ -12,7 +12,8 @@ of floating-point range, included), 2 unreadable or malformed input file
 Output conventions: table format prints bare scalars (or name/value lines
 when a result has a breakdown) and renders IRRs as percentages; csv prints
 name,value rows or schedule rows; json carries raw doubles plus a
-"schema": 1 marker.
+"schema": 1 marker. Each handler returns through _emit, which checks every
+number of the report's JSON payload once, then renders only the chosen format.
 """
 
 from __future__ import annotations
@@ -77,31 +78,40 @@ def _places_from(args: argparse.Namespace) -> dict[str, int]:
     return {"money": places, "rate": places}
 
 
-def _print_json(payload: dict) -> None:
-    import json
+def _all_finite(item) -> bool:
+    """True when every float in item, a report payload of dicts and lists, is finite."""
+    if isinstance(item, (dict, list)):
+        return all(map(_all_finite, item.values() if isinstance(item, dict) else item))
+    return not isinstance(item, float) or math.isfinite(item)
 
-    print(json.dumps(payload))
 
-
-def _emit_values(output_format: str, places: dict[str, int], items: list[tuple[str, float, str]]) -> None:
-    """Print named scalars: bare in table format when there is only one."""
-    if not all(math.isfinite(value) for _, value, _ in items):
+def _emit(output_format: str, payload: dict, table, csv) -> int:
+    """Print one report: json.dumps(payload), or the text that table() or
+    csv() renders. Every float of payload is checked first, so a result out
+    of floating-point range raises OverflowError before any format is
+    rendered, and only the chosen format is rendered."""
+    if not _all_finite(payload):
         raise OverflowError("a result is not a finite number")
     if output_format == "json":
-        payload: dict = {"schema": 1}
-        payload.update({name: value for name, value, _ in items})
-        _print_json(payload)
-        return
-    rendered = [(name, format_fixed(value, places[kind])) for name, value, kind in items]
-    if output_format == "csv":
-        for name, text in rendered:
-            print(f"{name},{text}")
-        return
-    if len(rendered) == 1:
-        print(rendered[0][1])
+        import json
+
+        text = json.dumps(payload) + "\n"
     else:
-        for name, text in rendered:
-            print(f"{name} {text}")
+        text = (csv if output_format == "csv" else table)()
+    sys.stdout.write(text)
+    return 0
+
+
+def _scalars(values: dict[str, float], places: int) -> tuple:
+    """Payload, table and CSV renderers of named scalars; a table prints a lone one bare."""
+
+    def lines(separator: str) -> str:
+        return "".join(f"{name}{separator}{format_fixed(value, places)}\n" for name, value in values.items())
+
+    def table() -> str:
+        return lines(" ") if len(values) > 1 else format_fixed(*values.values(), places) + "\n"
+
+    return {"schema": 1, **values}, table, lambda: lines(",")
 
 
 def _load_json(path: str):
@@ -138,7 +148,7 @@ def _load_reductions_file(path: str) -> list[float]:
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
         raise InputFileError(f"{path}: principal reductions must all be numbers")
     reductions = [float(x) for x in data]
-    if not all(map(math.isfinite, reductions)):
+    if not _all_finite(reductions):
         raise InputFileError(f"{path}: principal reductions must be finite")
     return reductions
 
@@ -166,12 +176,11 @@ def _cmd_tvm(args: argparse.Namespace, places: dict[str, int]) -> int:
             "sff": timevalue.sinking_fund_factor,
         }[fn]
         value = op(args.rate, args.n)
-    _emit_values(args.format, places, [("factor", value, "rate")])
-    return 0
+    return _emit(args.format, *_scalars({"factor": value}, places["rate"]))
 
 
 def _cmd_amort(args: argparse.Namespace, places: dict[str, int]) -> int:
-    """Print a schedule and its main-theorem residual; every amount must be finite."""
+    """Print a schedule and its main-theorem residual."""
     from . import amortization
 
     if args.kind == "level":
@@ -180,23 +189,13 @@ def _cmd_amort(args: argparse.Namespace, places: dict[str, int]) -> int:
         schedule = amortization.generalized_schedule(_load_reductions_file(args.file), args.i)
     else:
         schedule = amortization.sinking_fund_schedule(args.v, args.i, args.r, args.n)
-    amounts = [x for r in schedule.rows for x in (r.payment, r.interest, r.principal_reduction, r.ending_balance)]
-    if not all(map(math.isfinite, amounts)):
-        raise OverflowError("a schedule amount is not a finite number")
     residual = amortization.verify_main_theorem(schedule)
-    if not math.isfinite(residual):
-        raise OverflowError("the main theorem residual is not a finite number")
-    if args.format == "json":
-        payload = amortization.schedule_to_dict(schedule)
-        payload["main_theorem_residual"] = residual
-        _print_json(payload)
-    elif args.format == "csv":
-        sys.stdout.write(amortization.schedule_to_csv(schedule))
-        print(f"# main_theorem_residual={residual:.6e}")
-    else:
-        sys.stdout.write(amortization.schedule_to_table(schedule, places["money"]))
-        print(f"main theorem residual: {residual:.6e}")
-    return 0
+    return _emit(
+        args.format,
+        {**amortization.schedule_to_dict(schedule), "main_theorem_residual": residual},
+        lambda: amortization.schedule_to_table(schedule, places["money"]) + f"main theorem residual: {residual:.6e}\n",
+        lambda: amortization.schedule_to_csv(schedule) + f"# main_theorem_residual={residual:.6e}\n",
+    )
 
 
 def _cmd_caprate(args: argparse.Namespace, places: dict[str, int]) -> int:
@@ -204,13 +203,13 @@ def _cmd_caprate(args: argparse.Namespace, places: dict[str, int]) -> int:
 
     method = args.method
     if method == "band":
-        items = [("rate", capitalization.band_of_investment(args.m, args.i, args.y), "rate")]
+        values = {"rate": capitalization.band_of_investment(args.m, args.i, args.y)}
     elif method == "band-rm":
-        items = [("rate", capitalization.band_with_mortgage_constant(args.m, args.rm, args.y), "rate")]
+        values = {"rate": capitalization.band_with_mortgage_constant(args.m, args.rm, args.y)}
     elif method == "mortgage-constant":
-        items = [("rate", capitalization.mortgage_constant(args.i, args.months), "rate")]
+        values = {"rate": capitalization.mortgage_constant(args.i, args.months)}
     elif method == "adjusted":
-        items = [("rate", capitalization.adjusted_cap_rate(args.i, args.n, args.delta0), "rate")]
+        values = {"rate": capitalization.adjusted_cap_rate(args.i, args.n, args.delta0)}
     elif method in ("ellwood", "ellwood-j"):
         terms = capitalization.MortgageTerms(args.m, args.i, args.months, args.hold)
         spec = capitalization.AppreciationSpec(
@@ -221,22 +220,19 @@ def _cmd_caprate(args: argparse.Namespace, places: dict[str, int]) -> int:
             result = capitalization.ellwood_cap_rate(terms, args.y, spec)
         else:
             result = capitalization.ellwood_j_cap_rate(terms, args.y, spec, args.jn)
-        items = [
-            ("rate", result.rate, "rate"),
-            ("c_factor", result.c_factor, "rate"),
-            ("mortgage_constant", result.mortgage_constant, "rate"),
-            ("portion_paid", result.portion_paid, "rate"),
-            ("sff", result.equity_sff, "rate"),
-            ("akerson_rate", result.akerson_rate, "rate"),
-        ]
+        values = {
+            "rate": result.rate,
+            "c_factor": result.c_factor,
+            "mortgage_constant": result.mortgage_constant,
+            "portion_paid": result.portion_paid,
+            "sff": result.equity_sff,
+            "akerson_rate": result.akerson_rate,
+        }
         if result.j_factor is not None:
-            items.append(("j_factor", result.j_factor, "rate"))
+            values["j_factor"] = result.j_factor
     else:
-        items = [
-            ("rate", capitalization.recovery_cap_rate(method, args.i, args.n, getattr(args, "is_rate", None)), "rate")
-        ]
-    _emit_values(args.format, places, items)
-    return 0
+        values = {"rate": capitalization.recovery_cap_rate(method, args.i, args.n, getattr(args, "is_rate", None))}
+    return _emit(args.format, *_scalars(values, places["rate"]))
 
 
 def _cmd_value(args: argparse.Namespace, places: dict[str, int]) -> int:
@@ -259,14 +255,12 @@ def _cmd_value(args: argparse.Namespace, places: dict[str, int]) -> int:
         value = recurrence.accumulation_stream_value(args.i, args.n)
     else:
         value = recurrence.hoskold_stream_value(args.income, args.i, args.is_rate, args.n)
-    _emit_values(args.format, places, [("value", value, "money")])
-    return 0
+    return _emit(args.format, *_scalars({"value": value}, places["money"]))
 
 
 def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
     from . import projects
 
-    npv_rates = args.npv_at or ()
     bounds = args.bounds or projects.DEFAULT_IRR_BOUNDS
     if len(bounds) != 2:
         raise ValueError("--bounds takes two comma-separated rates")
@@ -277,18 +271,12 @@ def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
 
     loaded = [_load_project_file(path) for path in args.files]
     if args.compare:
-        result = (projects.compare_pairwise(*loaded, bounds),)
-        npv_rates = npv_rates or (0.10, 0.12)
+        report = (projects.compare_pairwise(*loaded, bounds), args.npv_at or (0.10, 0.12))
         table, csv, to_dict = projects.comparison_table, projects.comparison_csv, projects.comparison_to_dict
     else:
-        result = (loaded[0], projects.irr_all(loaded[0], bounds))
+        report = (loaded[0], projects.irr_all(loaded[0], bounds), args.npv_at or ())
         table, csv, to_dict = projects.analysis_table, projects.analysis_csv, projects.analysis_to_dict
-
-    if args.format == "json":
-        _print_json(to_dict(*result, npv_rates))
-    else:
-        sys.stdout.write((csv if args.format == "csv" else table)(*result, npv_rates))
-    return 0
+    return _emit(args.format, to_dict(*report), lambda: table(*report), lambda: csv(*report))
 
 
 # ---------------------------------------------------------------------------

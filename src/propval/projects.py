@@ -22,8 +22,10 @@ cash-flow vectors in the orientation whose NPV slopes downward, and its
 unique IRR is the cutoff rate below which the later-paying project wins.
 The comparison report carries the IRRs of both projects and of the
 difference, all searched in the same bounds, so the table, CSV and JSON
-renderers below only format what compare_pairwise found. A requested
-NPV out of floating-point range raises OverflowError in every renderer.
+renderers below only format what compare_pairwise found. The table and
+CSV renderers build their rows through one row builder, which computes
+and checks every requested NPV before it formats a cell; an NPV out of
+floating-point range raises OverflowError in every renderer.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 
 from . import _EXPORTS
 from ._record import record
-from .render import align_table, format_fixed, format_percent
+from .render import _report_text, format_fixed, format_percent
 from .timevalue import _RATE, _check_real
 
 __all__ = list(_EXPORTS["projects"])
@@ -443,52 +445,42 @@ def _reported_npvs(project: Project, npv_rates) -> list[float]:
     return values
 
 
-def _project_rows(entries, npv_rates, labels, irr_cells) -> list[list[str]]:
-    """A label row, then for each (project, IrrResult): the name, the flows
-    zero-padded to the longest project, irr_cells(result), and the NPV at
-    each rate. labels holds the project label, the period-t flow label
-    template, the IRR labels and the NPV label of a rate."""
-    project_label, flow_label, irr_labels, npv_label = labels
+def _project_rows(entries, npv_rates, csv: bool) -> list[list[str]]:
+    """A header row, then for each (project, IrrResult) its name, its flows
+    zero-padded to the longest project, its IRR cells and its NPV at each
+    rate. Table cells show the IRRs as percentages, or "none"; CSV cells
+    join them in percent by ';' and add the classification. Every NPV is
+    computed and checked before any cell is formatted."""
+    npvs = [_reported_npvs(project, npv_rates) for project, _ in entries]
     horizon = max(len(p.cashflows) for p, _ in entries)
-    header = [project_label] + [flow_label.format(t) for t in range(horizon)] + irr_labels
-    rows = [header + [npv_label(r) for r in npv_rates]]
-    for project, result in entries:
-        row = [project.name] + [format_fixed(c, 2) for c in _padded(project, horizon)] + irr_cells(result)
-        rows.append(row + [format_fixed(value, 2) for value in _reported_npvs(project, npv_rates)])
+    periods = range(horizon)
+    if csv:
+        rows = [["project", *(f"c{t}" for t in periods), "irr", "classification", *(f"npv@{r:g}" for r in npv_rates)]]
+    else:
+        rows = [["Project", *(f"C{t}" for t in periods), "IRR", *(f"NPV @ {format_percent(r)}" for r in npv_rates)]]
+    for (project, result), values in zip(entries, npvs):
+        if csv:
+            irr = [";".join(format_fixed(r * 100.0, 2) for r in result.roots), result.classification]
+        else:
+            irr = [", ".join(map(format_percent, result.roots)) or "none"]
+        flows = (format_fixed(c, 2) for c in _padded(project, horizon))
+        rows.append([project.name, *flows, *irr, *(format_fixed(value, 2) for value in values)])
     return rows
-
-
-def _table_irr_cells(result: IrrResult) -> list[str]:
-    return [", ".join(format_percent(r) for r in result.roots) or "none"]
-
-
-def _csv_irr_cells(result: IrrResult) -> list[str]:
-    return [";".join(format_fixed(r * 100.0, 2) for r in result.roots), result.classification]
-
-
-def _table_text(entries, npv_rates) -> str:
-    labels = ("Project", "C{}", ["IRR"], lambda r: f"NPV @ {format_percent(r)}")
-    return align_table(_project_rows(entries, npv_rates, labels, _table_irr_cells))
-
-
-def _csv_lines(entries, npv_rates) -> list[str]:
-    labels = ("project", "c{}", ["irr", "classification"], "npv@{:g}".format)
-    return [",".join(row) for row in _project_rows(entries, npv_rates, labels, _csv_irr_cells)]
 
 
 def analysis_table(
     project: Project, result: IrrResult, npv_rates: tuple[float, ...] = ()
 ) -> str:
     """Aligned one-project table with IRR and requested NPV columns."""
-    text = _table_text([(project, result)], npv_rates)
-    return text + f"classification: {result.classification}\n"
+    rows = _project_rows([(project, result)], npv_rates, csv=False)
+    return _report_text(rows, [f"classification: {result.classification}"])
 
 
 def analysis_csv(
     project: Project, result: IrrResult, npv_rates: tuple[float, ...] = ()
 ) -> str:
     """One-project CSV: IRRs in percent joined by ';', then the classification."""
-    return "\n".join(_csv_lines([(project, result)], npv_rates)) + "\n"
+    return _report_text(_project_rows([(project, result)], npv_rates, csv=True), csv=True)
 
 
 def _comparison_entries(report: ComparisonReport) -> list[tuple[Project, IrrResult]]:
@@ -524,29 +516,32 @@ def comparison_table(
     report: ComparisonReport, npv_rates: tuple[float, ...] = (0.10, 0.12)
 ) -> str:
     """Aligned table of both projects plus the difference, then the verdict."""
-    text = _table_text(_comparison_entries(report), npv_rates)
+    rows = _project_rows(_comparison_entries(report), npv_rates, csv=False)
     if report.degenerate:
-        return text + "degenerate: projects are identical\n"
-    if not report.orientation_valid:
-        return text + "no orientation of the difference has a guaranteed-decreasing NPV; no cutoff\n"
-    if report.cutoff_rate is None:
-        return text + "difference project has no unique IRR in bounds; no cutoff\n"
-    return text + (
-        f"cutoff rate: {format_percent(report.cutoff_rate)}\n"
-        f"preferred below cutoff: {report.preferred_below}\n"
-        f"preferred above cutoff: {report.preferred_above}\n"
-    )
+        verdict = ["degenerate: projects are identical"]
+    elif not report.orientation_valid:
+        verdict = ["no orientation of the difference has a guaranteed-decreasing NPV; no cutoff"]
+    elif report.cutoff_rate is None:
+        verdict = ["difference project has no unique IRR in bounds; no cutoff"]
+    else:
+        verdict = [
+            f"cutoff rate: {format_percent(report.cutoff_rate)}",
+            f"preferred below cutoff: {report.preferred_below}",
+            f"preferred above cutoff: {report.preferred_above}",
+        ]
+    return _report_text(rows, verdict)
 
 
 def comparison_csv(
     report: ComparisonReport, npv_rates: tuple[float, ...] = (0.10, 0.12)
 ) -> str:
     """CSV of both projects plus the difference, then the verdict as name,value rows."""
+    rows = _project_rows(_comparison_entries(report), npv_rates, csv=True)
     cutoff = "" if report.cutoff_rate is None else format_fixed(report.cutoff_rate * 100.0, 2)
-    lines = _csv_lines(_comparison_entries(report), npv_rates) + [
+    verdict = [
         f"cutoff_rate,{cutoff}",
         f"preferred_below,{report.preferred_below or ''}",
         f"preferred_above,{report.preferred_above or ''}",
         f"orientation_valid,{str(report.orientation_valid).lower()}",
     ]
-    return "\n".join(lines) + "\n"
+    return _report_text(rows, verdict, csv=True)

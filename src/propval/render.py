@@ -103,3 +103,10 @@ def align_table(rows: list[list[str]]) -> str:
     widths = [max(map(len, column)) for column in zip(*rows)]
     line = "  ".join(f"{{:<{width}}}" for width in widths).format
     return "\n".join([line(*row).rstrip() for row in rows]) + "\n"
+
+
+def _report_text(rows: list[list[str]], lines=(), csv: bool = False) -> str:
+    """A block of cell rows, header first, then one line per trailer: the
+    rows aligned as a table, or their cells joined by commas."""
+    text = "\n".join(map(",".join, rows)) + "\n" if csv else align_table(rows)
+    return text + "".join(f"{line}\n" for line in lines)
