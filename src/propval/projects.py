@@ -433,8 +433,14 @@ def analysis_to_dict(
             "classification": result.classification,
             "search_bounds": list(result.search_bounds),
         },
-        "npv": {f"{r:g}": value for r, value in zip(npv_rates, _reported_npvs(project, npv_rates))},
+        "npv": {_rate_text(r): value for r, value in zip(npv_rates, _reported_npvs(project, npv_rates))},
     }
+
+
+def _rate_text(rate: float) -> str:
+    """The rate as f"{rate:g}" when that reads back as rate, else as its repr."""
+    text = f"{rate:g}"
+    return text if float(text) == rate else repr(rate)
 
 
 def _reported_npvs(project: Project, npv_rates) -> list[float]:
@@ -455,7 +461,8 @@ def _project_rows(entries, npv_rates, csv: bool) -> list[list[str]]:
     horizon = max(len(p.cashflows) for p, _ in entries)
     periods = range(horizon)
     if csv:
-        rows = [["project", *(f"c{t}" for t in periods), "irr", "classification", *(f"npv@{r:g}" for r in npv_rates)]]
+        header = ["project", *(f"c{t}" for t in periods), "irr", "classification"]
+        rows = [header + [f"npv@{_rate_text(r)}" for r in npv_rates]]
     else:
         rows = [["Project", *(f"C{t}" for t in periods), "IRR", *(f"NPV @ {format_percent(r)}" for r in npv_rates)]]
     for (project, result), values in zip(entries, npvs):

@@ -301,6 +301,22 @@ class TestIrrCommand:
         assert data["npv"]["0.1"] == npv(a, 0.10)
         assert data["npv"]["0.12"] == npv(a, 0.12)
 
+    def test_close_npv_rates_keep_a_key_and_a_label_each(self, run, project_files):
+        # both rates print as 0.1 at six significant digits
+        rates = (0.1000001, 0.1000002)
+        argv = ("irr", project_files["A"], "--npv-at", "0.1000001,0.1000002", "--format")
+        expected = [npv(Project("A", (-1000, 200, 200, 1200)), r) for r in rates]
+        outputs = {}
+        for fmt in ("table", "csv", "json"):
+            code, outputs[fmt], err = run(*argv, fmt)
+            assert (code, err) == (0, "")
+        npvs = json.loads(outputs["json"])["npv"]
+        assert [(float(key), value) for key, value in npvs.items()] == list(zip(rates, expected))
+        header, row = (line.split(",") for line in outputs["csv"].splitlines())
+        assert [float(label.removeprefix("npv@")) for label in header[-2:]] == list(rates)
+        assert row[-2:] == [format_fixed(value, 2) for value in expected]
+        assert outputs["table"].splitlines()[1].split()[-2:] == [format_fixed(value, 2) for value in expected]
+
     def test_missing_project_file(self, run, tmp_path):
         code, _, err = run("irr", str(tmp_path / "ghost.json"))
         assert code == 2
