@@ -44,8 +44,6 @@ class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurr
     def __new__(cls, first_income: float, decrement: float, recurrence: RecurrenceSpec) -> OffsetStreamSpec:
         _check_real(first_income, "first_income")
         _check_real(decrement, "decrement")
-        if recurrence.multiplier == 0.0:
-            raise ValueError("offset streams need a nonzero recurrence multiplier")
         return super().__new__(cls, first_income, decrement, recurrence)
 
 

@@ -55,9 +55,13 @@ AMOUNTS = st.one_of(st.just(0.0), st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
 
 
 def _multipliers(rate: float):
-    """m in [-2, 3], or with m - 1 or m - 1 - i a gap."""
+    """m in [-2, 3], 0 included, or with m - 1 or m - 1 - i a gap."""
     return st.one_of(
-        st.floats(-2.0, -1e-3), st.floats(1e-3, 3.0), GAPS.map(lambda g: 1.0 + g), GAPS.map(lambda g: 1.0 + rate + g)
+        st.just(0.0),
+        st.floats(-2.0, -1e-3),
+        st.floats(1e-3, 3.0),
+        GAPS.map(lambda g: 1.0 + g),
+        GAPS.map(lambda g: 1.0 + rate + g),
     )
 
 

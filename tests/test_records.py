@@ -141,7 +141,6 @@ INVALID = [
     (RecurrenceSpec, {"seed": -INF}, "seed must be finite"),
     (OffsetStreamSpec, {"first_income": NAN}, "first_income must be finite"),
     (OffsetStreamSpec, {"decrement": INF}, "decrement must be finite"),
-    (OffsetStreamSpec, {"recurrence": RecurrenceSpec(0.0, 1.0, 0.0)}, "nonzero recurrence multiplier"),
 ]
 
 ids = [cls.__name__ for cls in RECORDS]

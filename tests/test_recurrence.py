@@ -167,9 +167,12 @@ class TestValueOffsetStream:
         spec = OffsetStreamSpec(d, h, RecurrenceSpec(m, b, c))
         assert value_offset_stream(spec, i, 1) == pytest.approx(float(offset_pv_exact(d, h, m, b, c, i, 1)), rel=1e-14)
 
-    def test_rejects_zero_multiplier(self):
-        with pytest.raises(ValueError):
-            OffsetStreamSpec(100.0, 1.0, RecurrenceSpec(0.0, 1.0, 0.0))
+    def test_values_a_zero_multiplier(self):
+        # m = 0 makes every generated term after the seed the increment b
+        d, h, b, c, i = 100.0, 2.0, 5.0, 7.0, 0.08
+        spec = OffsetStreamSpec(d, h, RecurrenceSpec(0.0, b, c))
+        exact = float(offset_pv_exact(d, h, 0.0, b, c, i, 12))
+        assert value_offset_stream(spec, i, 12) == pytest.approx(exact, rel=1e-14)
 
 
 class TestStraightLineAnnuity:
