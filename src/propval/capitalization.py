@@ -26,7 +26,7 @@ class MortgageTerms(record("MortgageTerms", "loan_to_value annual_rate amortizat
     loan_to_value is the financed fraction of value; annual_rate the note
     rate; the loan amortizes monthly over amortization_months, which may
     outlast the holding_years (never the reverse, or there is no balance
-    left to describe).
+    left to describe). Both counts are stored as ints: 300.0 becomes 300.
     """
 
     __slots__ = ()
@@ -36,8 +36,8 @@ class MortgageTerms(record("MortgageTerms", "loan_to_value annual_rate amortizat
     ) -> MortgageTerms:
         _check_real(loan_to_value, "loan_to_value", _FRACTION)
         _check_real(annual_rate, "annual_rate", _RATE)
-        _check_periods(amortization_months, name="amortization_months")
-        _check_periods(holding_years, name="holding_years")
+        amortization_months = _check_periods(amortization_months, name="amortization_months")
+        holding_years = _check_periods(holding_years, name="holding_years")
         if amortization_months < 12 * holding_years:
             raise ValueError(
                 "amortization_months must cover the holding period "
@@ -192,7 +192,7 @@ def ellwood_j_cap_rate(
     """
     equity_yield = _check_real(equity_yield, "equity_yield", _RATE)
     horizon = terms.holding_years if n_for_j is None else _check_periods(n_for_j, name="n_for_j")
-    return _ellwood(terms, equity_yield, appreciation, int(horizon))  # the record checked holding_years
+    return _ellwood(terms, equity_yield, appreciation, horizon)
 
 
 def _ellwood(terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec, j_horizon: int | None = None):
