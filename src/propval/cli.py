@@ -86,10 +86,8 @@ def _all_finite(item) -> bool:
 
 
 def _emit(output_format: str, payload: dict, table, csv) -> int:
-    """Print one report: json.dumps(payload), or the text that table() or
-    csv() renders. Every float of payload is checked first, so a result out
-    of floating-point range raises OverflowError before any format is
-    rendered, and only the chosen format is rendered."""
+    """Print json.dumps(payload), or the text table() or csv() renders, once every
+    float of payload is finite; one out of range raises OverflowError first."""
     if not _all_finite(payload):
         raise OverflowError("a result is not a finite number")
     if output_format == "json":
@@ -212,10 +210,7 @@ def _cmd_caprate(args: argparse.Namespace, places: dict[str, int]) -> int:
         values = {"rate": capitalization.adjusted_cap_rate(args.i, args.n, args.delta0)}
     elif method in ("ellwood", "ellwood-j"):
         terms = capitalization.MortgageTerms(args.m, args.i, args.months, args.hold)
-        spec = capitalization.AppreciationSpec(
-            asset_change=args.delta0,
-            income_change=getattr(args, "delta", 0.0) or 0.0,
-        )
+        spec = capitalization.AppreciationSpec(args.delta0, getattr(args, "delta", 0.0))  # ellwood has no --delta
         if method == "ellwood":
             result = capitalization.ellwood_cap_rate(terms, args.y, spec)
         else:

@@ -458,8 +458,7 @@ def _project_rows(entries, npv_rates, csv: bool) -> list[list[str]]:
     join them in percent by ';' and add the classification. Every NPV is
     computed and checked before any cell is formatted."""
     npvs = [_reported_npvs(project, npv_rates) for project, _ in entries]
-    horizon = max(len(p.cashflows) for p, _ in entries)
-    periods = range(horizon)
+    periods = range(max(len(p.cashflows) for p, _ in entries))
     if csv:
         header = ["project", *(f"c{t}" for t in periods), "irr", "classification"]
         rows = [header + [f"npv@{_rate_text(r)}" for r in npv_rates]]
@@ -470,7 +469,7 @@ def _project_rows(entries, npv_rates, csv: bool) -> list[list[str]]:
             irr = [";".join(format_fixed(r * 100.0, 2) for r in result.roots), result.classification]
         else:
             irr = [", ".join(map(format_percent, result.roots)) or "none"]
-        flows = (format_fixed(c, 2) for c in _padded(project, horizon))
+        flows = (format_fixed(c, 2) for c in _padded(project, len(periods)))
         rows.append([project.name, *flows, *irr, *(format_fixed(value, 2) for value in values)])
     return rows
 
