@@ -36,7 +36,8 @@ class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurr
 
     first_income is d; decrement is h, the amount each generated y_k shaves
     off the base income one period later. A negative decrement produces a
-    rising stream.
+    rising stream. The recurrence is stored as a RecurrenceSpec, so a plain
+    (multiplier, increment, seed) tuple is checked like one.
     """
 
     __slots__ = ()
@@ -44,7 +45,7 @@ class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurr
     def __new__(cls, first_income: float, decrement: float, recurrence: RecurrenceSpec) -> OffsetStreamSpec:
         _check_real(first_income, "first_income")
         _check_real(decrement, "decrement")
-        return super().__new__(cls, first_income, decrement, recurrence)
+        return super().__new__(cls, first_income, decrement, RecurrenceSpec._make(recurrence))
 
 
 def recurrence_terms(spec: RecurrenceSpec, n: int) -> list[float]:

@@ -141,6 +141,7 @@ INVALID = [
     (RecurrenceSpec, {"seed": -INF}, "seed must be finite"),
     (OffsetStreamSpec, {"first_income": NAN}, "first_income must be finite"),
     (OffsetStreamSpec, {"decrement": INF}, "decrement must be finite"),
+    (OffsetStreamSpec, {"recurrence": (0.0, NAN, 0.0)}, "increment must be finite"),
 ]
 
 ids = [cls.__name__ for cls in RECORDS]
@@ -218,6 +219,11 @@ def test_project_stores_its_cash_flows_as_floats():
     for project in (Project("A", [-1000, 200, 1200]), PROJECT._replace(cashflows=[-1000, 200, 1200])):
         assert project.cashflows == (-1000.0, 200.0, 1200.0)
         assert all(type(c) is float for c in project.cashflows)
+
+
+def test_offset_stream_spec_stores_its_recurrence_as_a_spec():
+    spec = OffsetStreamSpec(100.0, 1.0, (0.0, 5.0, 7.0))
+    assert type(spec.recurrence) is RecurrenceSpec and spec.recurrence == (0.0, 5.0, 7.0)
 
 
 def test_records_compare_equal_to_plain_tuples():
