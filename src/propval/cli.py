@@ -256,7 +256,7 @@ def _cmd_value(args: argparse.Namespace, places: dict[str, int]) -> int:
 def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
     from . import projects
 
-    bounds = args.bounds or projects.DEFAULT_IRR_BOUNDS
+    bounds = projects.DEFAULT_IRR_BOUNDS if args.bounds is None else args.bounds
     if len(bounds) != 2:
         raise ValueError("--bounds takes two comma-separated rates")
     if args.compare and len(args.files) != 2:
@@ -266,7 +266,7 @@ def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
 
     loaded = [_load_project_file(path) for path in args.files]
     if args.compare:
-        report = (projects.compare_pairwise(*loaded, bounds), args.npv_at or (0.10, 0.12))
+        report = (projects.compare_pairwise(*loaded, bounds), (0.10, 0.12) if args.npv_at is None else args.npv_at)
         table, csv, to_dict = projects.comparison_table, projects.comparison_csv, projects.comparison_to_dict
     else:
         report = (loaded[0], projects.irr_all(loaded[0], bounds), args.npv_at or ())

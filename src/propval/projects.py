@@ -236,12 +236,14 @@ def _chart_roots(coeffs, x_lo: float, x_hi: float, to_rate, unique: bool) -> lis
                     continue
                 if not crossing:
                     # a stopped node: a tangent root if p at its extremum
-                    # is zero within its own rounding error
+                    # is zero within its own rounding error, and a close
+                    # pair of crossings, reported once, if p there has the
+                    # sign opposite to its ends
                     if _straddles_zero(dpa - dma, dpb - dmb):
                         n = len(coeffs) - 1
                         slope = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
                         xe, vp, vm, _, _ = point(_solve(slope, xa, xb, dpa - dma, dpb - dmb))
-                        if abs(vp - vm) <= tol * (vp + vm):
+                        if abs(vp - vm) <= tol * (vp + vm) or (vp > vm) != (fa > 0.0):
                             roots.append(to_rate(xe))
                     continue
         # here the node holds at most one root
@@ -269,10 +271,11 @@ def irr_all(project: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS) 
     is bisected until every node is settled by enclosures of the NPV and
     its slope, built from the increasing positive and negative parts of the
     polynomial: no root, or a monotone stretch with at most one root.
-    Nodes narrower than ROOT_RESOLUTION in rate stop there and hold at most
-    one root: a crossing when their ends differ in sign, else a tangent
-    root where the NPV at the slope's zero is zero within its own rounding
-    error. Roots closer than ROOT_RESOLUTION are reported once; a bound
+    Nodes narrower than ROOT_RESOLUTION in rate stop there and report at
+    most one root: a crossing when their ends differ in sign, else one at
+    the slope's zero where the NPV is zero within its own rounding error
+    (a tangent root) or of the sign opposite to the ends (two crossings).
+    Roots closer than ROOT_RESOLUTION are reported once; a bound
     where the NPV is zero within rounding error counts as a root. An empty
     result is a valid outcome, classified 'none'.
     """

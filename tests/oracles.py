@@ -2,17 +2,14 @@
 
 These deliberately avoid the library's closed forms and code paths: factors
 come from repeated multiplication, present values from term-by-term
-discounted sums, and root counts from a dense sign scan with explicit
-powers. Keep them dumb.
+discounted sums, and root counts from Sturm's theorem in exact rational
+arithmetic. Keep them dumb.
 """
 
 from __future__ import annotations
 
-import math
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-
-import numpy as np
 
 
 def compound_oracle(rate: float, n: int) -> float:
@@ -68,25 +65,54 @@ def recurrence_stream(multiplier: float, increment: float, seed: float, n: int) 
     return terms
 
 
-def sign_scan_root_count(cashflows, lo: float, hi: float, step: float = 1e-5) -> int:
-    """Number of NPV zero crossings in (lo, hi) seen by a dense scan.
+def _horner(coeffs, x):
+    value = 0
+    for c in coeffs:
+        value = value * x + c
+    return value
 
-    Independent of the IRR implementation: NPV is built from explicit
-    powers of 1/(1+r), and a crossing is a strict sign change between
-    adjacent grid points (grid-point zeros count as roots).
+
+def _remainder(num, den):
+    """Remainder of num / den, both highest power first, den[0] nonzero."""
+    while len(num) >= len(den):
+        q = num[0] / den[0]
+        num = [a - q * b for a, b in zip(num[1:], den[1:])] + num[len(den):]
+        while num and num[0] == 0:
+            num = num[1:]
+    return num
+
+
+def _variations(chain, x) -> int:
+    signs = [v > 0 for v in (_horner(p, x) for p in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_root_count(cashflows, lo: float, hi: float) -> int:
+    """Number of distinct IRRs in (lo, hi], by Sturm's theorem in exact rationals.
+
+    Independent of the IRR implementation: the IRRs are the real roots of
+    P(x) = sum C_t x^(n-t) in x = 1 + r. The chain P, P', then each negated
+    remainder is built over Fraction, and the count is V(a) - V(b), with V
+    the sign changes along the chain (zeros skipped) at a = 1 + Fraction(lo)
+    and b = 1 + Fraction(hi). It counts distinct roots, so a tangent root
+    counts once. Leading zero flows lower the degree; trailing zero flows
+    are roots at x = 0, which is r = -1 and outside every admissible
+    interval. The rationals grow fast with the degree: meant for degree
+    up to about 10.
     """
-    count = int(math.ceil((hi - lo) / step))
-    grid = np.linspace(lo, hi, count + 1)
-    w = 1.0 / (1.0 + grid)
-    vals = np.zeros_like(grid)
-    wp = np.ones_like(grid)
-    for flow in cashflows:
-        vals += flow * wp
-        wp *= w
-    signs = np.sign(vals)
-    zeros = int(np.count_nonzero(signs == 0))
-    changes = int(np.count_nonzero(signs[:-1] * signs[1:] < 0))
-    return changes + zeros
+    coeffs = [Fraction(c) for c in cashflows]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    n = len(coeffs) - 1
+    chain = [coeffs, [(n - k) * c for k, c in enumerate(coeffs[:-1])]]
+    while len(chain[-1]) > 1:
+        rest = _remainder(chain[-2], chain[-1])
+        if not rest:
+            break
+        chain.append([-c for c in rest])
+    return _variations(chain, 1 + Fraction(lo)) - _variations(chain, 1 + Fraction(hi))
 
 
 def relclose(actual: float, expected: float, rel: float, abs_floor: float = 1e-9) -> bool:

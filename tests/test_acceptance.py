@@ -7,9 +7,9 @@ every run sees the same cases.
 """
 
 import math
+import random
 import time
 
-import numpy as np
 import pytest
 
 from propval import (
@@ -120,15 +120,15 @@ def test_criterion_4_pairwise_cutoff():
 
 def test_criterion_5_discounted_payments_recover_principal():
     failures: list[str] = []
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     started = time.perf_counter()
     for trial in range(1000):
         while True:
-            ps = rng.uniform(-500.0, 500.0, size=int(rng.integers(1, 31)))
+            ps = [rng.uniform(-500.0, 500.0) for _ in range(rng.randrange(1, 31))]
             if math.fsum(ps) > 0.0:
                 break
-        rate = float(rng.uniform(0.0, 0.3)) or 0.15
-        schedule = generalized_schedule(list(ps), rate)
+        rate = rng.uniform(0.0, 0.3) or 0.15
+        schedule = generalized_schedule(ps, rate)
         total = math.fsum(ps)
         residual = verify_main_theorem(schedule)
         _check(failures, residual < 1e-6 * total, f"trial {trial}: residual {residual:.2e} vs sum {total:.2e}")
@@ -139,16 +139,16 @@ def test_criterion_5_discounted_payments_recover_principal():
 
 def test_criterion_6_recurrence_closed_forms_match_summation():
     failures: list[str] = []
-    rng = np.random.default_rng(20260810)
+    rng = random.Random(20260810)
     rate_grid = [0.01 * j for j in range(31)]
     started = time.perf_counter()
     for trial in range(2000):
-        m, b, c = (float(x) for x in rng.uniform(-2.0, 2.0, size=3))
+        m, b, c = (rng.uniform(-2.0, 2.0) for _ in range(3))
         if rng.random() < 0.5:
-            i = rate_grid[int(rng.integers(0, len(rate_grid)))]
+            i = rate_grid[rng.randrange(0, len(rate_grid))]
         else:
-            i = float(rng.uniform(0.005, 0.3))
-        n = int(rng.integers(1, 26))
+            i = rng.uniform(0.005, 0.3)
+        n = rng.randrange(1, 26)
         kind = trial % 4
         if kind == 1:
             m = 1.0
@@ -174,7 +174,7 @@ def test_criterion_7_safe_rate_recovery_streams():
     failures: list[str] = []
     income = 100.0
     for i in (0.05, 0.10, 0.15, 0.20):
-        safe_rates = sorted({round(x, 6) for x in np.arange(0.0, i + 1e-9, 0.025)} | {i})
+        safe_rates = sorted({round(k * 0.025, 6) for k in range(round(i / 0.025) + 1)} | {i})
         for i_s in safe_rates:
             for n in range(1, 31):
                 value = hoskold_stream_value(income, i, i_s, n)
@@ -196,20 +196,20 @@ def test_criterion_7_safe_rate_recovery_streams():
 
 def test_criterion_8_mortgage_equity_identity_and_round_trip():
     failures: list[str] = []
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     noi = 100.0
     for trial in range(1000):
-        hold = int(rng.integers(1, 31))
+        hold = rng.randrange(1, 31)
         terms = MortgageTerms(
-            float(rng.uniform(0.0, 0.95)),
-            float(rng.uniform(0.01, 0.15)),
-            12 * hold + int(rng.integers(0, 361)),
+            rng.uniform(0.0, 0.95),
+            rng.uniform(0.01, 0.15),
+            12 * hold + rng.randrange(0, 361),
             hold,
         )
-        y = float(rng.uniform(0.03, 0.25))
+        y = rng.uniform(0.03, 0.25)
         spec = AppreciationSpec(
-            asset_change=float(rng.uniform(-0.9, 1.0)),
-            income_change=float(rng.uniform(-0.5, 0.5)),
+            asset_change=rng.uniform(-0.9, 1.0),
+            income_change=rng.uniform(-0.5, 0.5),
         )
         result = ellwood_cap_rate(terms, y, spec)
         _check(

@@ -317,6 +317,21 @@ class TestIrrCommand:
         assert row[-2:] == [format_fixed(value, 2) for value in expected]
         assert outputs["table"].splitlines()[1].split()[-2:] == [format_fixed(value, 2) for value in expected]
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_empty_lists_are_not_the_defaults(self, run, project_files, fmt):
+        # an empty --bounds holds no two rates, and an empty --npv-at asks for no NPV
+        for bounds in ("--bounds=", "--bounds=,"):
+            code, out, err = run("irr", project_files["D"], bounds, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert "--bounds takes two comma-separated rates" in err
+        code, out, err = run("irr", project_files["A"], project_files["B"], "--compare", "--npv-at=", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            data = json.loads(out)
+            assert [entry["npv"] for entry in data["projects"] + [data["difference"]]] == [{}] * 3
+        else:
+            assert "npv" not in out.lower()
+
     def test_missing_project_file(self, run, tmp_path):
         code, _, err = run("irr", str(tmp_path / "ghost.json"))
         assert code == 2

@@ -1,4 +1,8 @@
-"""The package namespace: every public name, loaded on first use."""
+"""The package namespace: every public name, loaded on first use; and
+tests and demos that run without numpy."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +55,16 @@ def test_unknown_attribute_raises():
     with pytest.raises(ImportError):
         from propval import no_such_name  # noqa: F401
 
+
+
+def test_tests_and_demos_import_no_numpy():
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted([*root.glob("tests/*.py"), *root.glob("demos/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "numpy" not in [module.split(".")[0] for module in modules], path.name

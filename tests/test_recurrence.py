@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 
 from propval import (
@@ -50,9 +50,9 @@ class TestRecurrenceTerms:
         assert terms == pytest.approx([accumulation(0.05, k) for k in (1, 2, 3)], rel=1e-12)
 
     def test_closed_form_matches_iteration(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(200):
-            m, b, c = rng.uniform(-2, 2, size=3)
+            m, b, c = (rng.uniform(-2, 2) for _ in range(3))
             if rng.random() < 0.3:
                 m = 1.0
             spec = RecurrenceSpec(m, b, c)
@@ -86,12 +86,12 @@ class TestValueRecurrenceStream:
 
     def test_dispatch_complete_over_random_draws(self):
         # all four regimes, including forced boundaries, against summation
-        rng = np.random.default_rng(20260810)
+        rng = random.Random(20260810)
         rates = [0.0] + [0.01 * j for j in range(1, 31)]
         for trial in range(800):
-            m, b, c = rng.uniform(-2, 2, size=3)
-            i = rates[rng.integers(0, len(rates))]
-            n = int(rng.integers(1, 26))
+            m, b, c = (rng.uniform(-2, 2) for _ in range(3))
+            i = rates[rng.randrange(0, len(rates))]
+            n = rng.randrange(1, 26)
             kind = trial % 4
             if kind == 1:
                 m = 1.0
@@ -148,13 +148,13 @@ class TestValueOffsetStream:
         assert value_offset_stream(spec, rate, n) == pytest.approx(value, rel=1e-11)
 
     def test_random_specs_match_summation(self):
-        rng = np.random.default_rng(11)
+        rng = random.Random(11)
         for _ in range(300):
             m = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
-            b, c = rng.uniform(-2, 2, size=2)
-            d, h = rng.uniform(-100, 100, size=2)
+            b, c = (rng.uniform(-2, 2) for _ in range(2))
+            d, h = (rng.uniform(-100, 100) for _ in range(2))
             i = rng.uniform(0.0, 0.3)
-            n = int(rng.integers(1, 21))
+            n = rng.randrange(1, 21)
             spec = OffsetStreamSpec(d, h, RecurrenceSpec(m, b, c))
             offsets = recurrence_stream(m, b, c, n - 1)
             oracle = stream_pv([d] + [d - h * y for y in offsets], i)
