@@ -33,6 +33,17 @@ class AmortizationRow(record("AmortizationRow", COLUMNS)):
     __slots__ = ()
 
 
+def _schedule_rows(rows: list[tuple]) -> tuple:
+    """The builders' plain 5-tuples as AmortizationRows, one C call each.
+
+    tuple.__new__ is what a plain named tuple's _make calls: it skips
+    AmortizationRow.__new__, which validates nothing as long as the class
+    defines none of its own.
+    """
+    new = tuple.__new__
+    return tuple([new(AmortizationRow, row) for row in rows])
+
+
 class AmortizationSchedule(record("AmortizationSchedule", "principal rate rows")):
     """Principal, per-period rate, and the tuple of rows that retire the principal."""
 
@@ -69,8 +80,8 @@ def level_schedule(principal: float, rate: float, n: int) -> AmortizationSchedul
         interest = rate * balance
         reduction = payment - interest
         balance -= reduction
-        rows.append(AmortizationRow(period, payment, interest, reduction, balance))
-    return AmortizationSchedule(principal, rate, tuple(rows))
+        rows.append((period, payment, interest, reduction, balance))
+    return AmortizationSchedule(principal, rate, _schedule_rows(rows))
 
 
 def generalized_schedule(principal_reductions: list[float], rate: float) -> AmortizationSchedule:
@@ -98,10 +109,8 @@ def generalized_schedule(principal_reductions: list[float], rate: float) -> Amor
     for k in range(n):
         interest = rate * tails[k]
         reduction = reductions[k]
-        rows.append(
-            AmortizationRow(k + 1, reduction + interest, interest, reduction, tails[k + 1])
-        )
-    return AmortizationSchedule(principal, rate, tuple(rows))
+        rows.append((k + 1, reduction + interest, interest, reduction, tails[k + 1]))
+    return AmortizationSchedule(principal, rate, _schedule_rows(rows))
 
 
 def sinking_fund_schedule(
@@ -129,17 +138,9 @@ def sinking_fund_schedule(
         interest = rate * balance_before
         recovered = deposit * (1.0 + recovery_rate) ** (period - 1)
         fund_now = fund_prev * (1.0 + recovery_rate) + 1.0
-        rows.append(
-            AmortizationRow(
-                period,
-                interest + recovered,
-                interest,
-                recovered,
-                principal * (1.0 - sff * fund_now),
-            )
-        )
+        rows.append((period, interest + recovered, interest, recovered, principal * (1.0 - sff * fund_now)))
         fund_prev = fund_now
-    return AmortizationSchedule(principal, rate, tuple(rows))
+    return AmortizationSchedule(principal, rate, _schedule_rows(rows))
 
 
 def verify_main_theorem(schedule: AmortizationSchedule) -> float:
@@ -157,27 +158,33 @@ def verify_main_theorem(schedule: AmortizationSchedule) -> float:
     return abs(discounted - math.fsum(schedule.principal_reductions))
 
 
-def _row_cells(row: AmortizationRow, places: int) -> list[str]:
+# one % template per number of places: the period through %s, so that it
+# prints as str() prints it (a period of 1.0 stays "1.0"), and the four
+# amounts through %.{places}f, which rounds as f"{x:.{places}f}" does
+_ROW_TEMPLATES = tuple("%s" + f",%.{k}f" * 4 for k in range(MAX_PLACES + 1))
+
+
+def _row_line(row: AmortizationRow, places: int) -> str:
     """The period and the four amounts rounded to places decimals, as
-    format_fixed rounds them: one float formatting pass when all four
-    amounts allow it, format_fixed per amount otherwise."""
+    format_fixed rounds them, joined by commas: one template when all four
+    amounts pass the fast-path test, format_fixed per amount otherwise."""
     period, a, b, c, d = row
     exact = _float_rounding_agrees
     if exact(a, places) and exact(b, places) and exact(c, places) and exact(d, places):
-        spec = f".{places}f"
-        return [str(period), f"{a:{spec}}", f"{b:{spec}}", f"{c:{spec}}", f"{d:{spec}}"]
-    return [str(period)] + [format_fixed(x, places) for x in (a, b, c, d)]
+        return _ROW_TEMPLATES[places] % row
+    return ",".join([str(period)] + [format_fixed(x, places) for x in (a, b, c, d)])
 
 
 def schedule_to_csv(schedule: AmortizationSchedule) -> str:
     """Render rows as CSV, amounts rounded to cents, LF line endings."""
-    return _report_text([COLUMNS] + [_row_cells(row, 2) for row in schedule.rows], csv=True)
+    return "\n".join([",".join(COLUMNS)] + [_row_line(row, 2) for row in schedule.rows]) + "\n"
 
 
 def schedule_to_table(schedule: AmortizationSchedule, places: int) -> str:
     """Render rows as aligned columns, amounts rounded to places decimals."""
     places = _check_periods(places, "places", 0, MAX_PLACES)
-    return _report_text([COLUMNS] + [_row_cells(row, places) for row in schedule.rows])
+    # split from the right: of the five cells only the period can hold a comma
+    return _report_text([COLUMNS] + [_row_line(row, places).rsplit(",", 4) for row in schedule.rows])
 
 
 def schedule_to_dict(schedule: AmortizationSchedule) -> dict:

@@ -63,12 +63,19 @@ def _float_rounding_agrees(value: float, places: int) -> bool:
 
 def format_fixed(value: float, places: int) -> str:
     """Fixed-point string with the given decimals, ties away from zero."""
-    places = _check_periods(places, "places", 0, MAX_PLACES)
-    if _float_rounding_agrees(value, places):
-        return format(value, _FIXED_SPECS[places])
-    if _float_rounding_agrees(-value, places):
-        # only a negative value that rounds to zero fails the test above and
-        # passes this one: its absolute value prints the unsigned zero
+    if not (places.__class__ is int and 0 <= places <= MAX_PLACES):
+        places = _check_periods(places, "places", 0, MAX_PLACES)
+    # _float_rounding_agrees(value, places) inline, its proof in its docstring;
+    # the range and tie tests do not depend on the sign of value
+    scaled = value * _POW10[places]
+    if (
+        -_SCALED_LIMIT < scaled < _SCALED_LIMIT
+        and _TIE_MARGIN - 0.5 < scaled - (scaled + _RINT - _RINT) < 0.5 - _TIE_MARGIN
+    ):
+        if scaled > 0.0 or scaled <= -0.5 or copysign(1.0, scaled) > 0.0:
+            return format(value, _FIXED_SPECS[places])
+        # a negative value that rounds to zero: its absolute value prints
+        # the unsigned zero
         return format(-value, _FIXED_SPECS[places])
     return _format_decimal(_check_real(value, "value"), places)
 
@@ -100,9 +107,12 @@ def format_percent(rate: float, places: int = 2) -> str:
 
 def align_table(rows: list[list[str]]) -> str:
     """Left-aligned columns padded to the widest cell, two-space gutters."""
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    line = "  ".join(f"{{:<{width}}}" for width in widths).format
-    return "\n".join([line(*row).rstrip() for row in rows]) + "\n"
+    columns = list(zip(*rows))
+    line = "  ".join([f"%-{max(map(len, column))}s" for column in columns])
+    # zip(*columns) gives the rows back as tuples, cut to the shortest row;
+    # with no column at all, each row prints as an empty line
+    cells = zip(*columns) if columns else [()] * len(rows)
+    return "\n".join([(line % row).rstrip() for row in cells]) + "\n"
 
 
 def _report_text(rows: list[list[str]], lines=(), csv: bool = False) -> str:

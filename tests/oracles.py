@@ -224,3 +224,72 @@ def schedule_cells_oracle(schedule, places: int) -> list[list[str]]:
         amounts = (row.payment, row.interest, row.principal_reduction, row.ending_balance)
         rows.append([str(row.period)] + [format_fixed_oracle(x, places) for x in amounts])
     return rows
+
+
+# Exact schedules. Each returns (denominator, rows): every row holds the
+# payment, interest, principal reduction and ending balance as integer
+# numerators over the one common denominator. Long schedules stay fast
+# that way: a Fraction would take a gcd of numbers thousands of bits long
+# at every step. A double rate is a / d exactly, so 1 + rate = g / d, and
+# s(m, rate) = 1 + (1 + rate) + ... + (1 + rate)^(m-1) = S[m] / d^(m-1).
+
+
+def _accumulations(rate: float, n: int):
+    """a, d, g and S[0..n] for the double rate = a / d."""
+    a, d = float(rate).as_integer_ratio()
+    g = d + a
+    sums, power = [0], 1
+    for _ in range(n):
+        sums.append(sums[-1] * g + power)  # S[m + 1] = S[m] g + d^m
+        power *= d
+    return a, d, g, sums
+
+
+def level_schedule_exact(principal: float, rate: float, n: int):
+    """Level schedule: the balance after k payments is P (1+i)^k s(n-k) / s(n),
+    which is P g^k S[n-k] / S[n], at a zero rate too."""
+    p, e = float(principal).as_integer_ratio()
+    a, d, g, sums = _accumulations(rate, n)
+    before, power, rows = p * d * sums[n], 1, []  # balance x denominator, g^(k-1)
+    for k in range(1, n + 1):
+        interest = a * p * power * sums[n - k + 1]
+        power *= g
+        after = p * d * power * sums[n - k]
+        rows.append((interest + before - after, interest, before - after, after))
+        before = after
+    return e * sums[n] * d, rows
+
+
+def generalized_schedule_exact(principal_reductions, rate: float):
+    """Schedule of the given principal reductions: the balance is the sum of
+    the reductions still to come, and interest accrues on it."""
+    reductions = [Fraction(x) for x in principal_reductions]
+    scale = max(x.denominator for x in reductions)  # powers of two: their lcm
+    a, d = float(rate).as_integer_ratio()
+    tails = [0]
+    for x in reversed(reductions):
+        tails.append(tails[-1] + x.numerator * (scale // x.denominator))
+    tails.reverse()
+    rows = []
+    for k, x in enumerate(reductions):
+        interest, reduction = a * tails[k], x.numerator * (scale // x.denominator) * d
+        rows.append((reduction + interest, interest, reduction, tails[k + 1] * d))
+    return scale * d, rows
+
+
+def sinking_fund_schedule_exact(principal: float, rate: float, recovery_rate: float, n: int):
+    """Sinking-fund schedule: the fund holds P s(k, r) / s(n, r) after k
+    deposits, which is P S[k] d^(n-k) / S[n], and the deposit of period k
+    earns nothing yet, P (1+r)^(k-1) / s(n, r) = P g^(k-1) d^(n-k) / S[n]."""
+    p, e = float(principal).as_integer_ratio()
+    a, di = float(rate).as_integer_ratio()
+    _, d, g, sums = _accumulations(recovery_rate, n)
+    powers = [d**j for j in range(n + 1)]
+    power, rows = 1, []  # g^(k-1)
+    for k in range(1, n + 1):
+        interest = a * p * (sums[n] - sums[k - 1] * powers[n - k + 1])
+        recovered = p * di * power * powers[n - k]
+        power *= g
+        after = p * di * (sums[n] - sums[k] * powers[n - k])
+        rows.append((interest + recovered, interest, recovered, after))
+    return e * sums[n] * di, rows

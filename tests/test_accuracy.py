@@ -1,4 +1,5 @@
-"""Accuracy of the factor and changing-income forms, gaps down to 0 included.
+"""Accuracy of the factor and changing-income forms, gaps down to 0 included,
+and of every row of the three schedules.
 
 Each closed form is compared with an exact Fraction sum of its stream
 (tests/oracles.py) and must satisfy |computed - exact| <= BOUND * scale.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propval import (
@@ -29,17 +30,28 @@ from propval import (
     compound_amount,
     constant_ratio_annuity_value,
     ellwood_j_factor,
+    generalized_schedule,
     installment_to_amortize,
+    level_schedule,
     portion_paid,
     pv_reversion,
     recurrence_term,
     sinking_fund_factor,
+    sinking_fund_schedule,
     straight_line_annuity_value,
     value_offset_stream,
     value_recurrence_stream,
 )
 
-from oracles import ellwood_j_exact, offset_pv_exact, recurrence_pv_exact, recurrence_term_exact
+from oracles import (
+    ellwood_j_exact,
+    generalized_schedule_exact,
+    level_schedule_exact,
+    offset_pv_exact,
+    recurrence_pv_exact,
+    recurrence_term_exact,
+    sinking_fund_schedule_exact,
+)
 
 BOUND = Fraction(1e-12)
 EXAMPLES = settings(derandomize=True, max_examples=150, deadline=None)
@@ -146,3 +158,61 @@ def test_timevalue_factors(data, rate, n):
     owed = sum(growth**-t for t in range(1, n - k + 1)) / a_n
     _assert_within(balance_fraction(k, n, rate), owed, Fraction(1))
     _assert_within(portion_paid(k, n, rate), 1 - owed, Fraction(1))
+
+
+# Schedules: every amount of every row against the same schedule in exact
+# arithmetic from the same doubles, over 1..120 periods (and 360 and 480 in
+# the examples), rates as above, fund rates in [0, 1] with 0 included, and
+# reductions of either sign, a negative one being a period of negative
+# amortization.
+SCHEDULE_COUNTS = st.integers(1, 120)
+PRINCIPALS = st.floats(1.0, 1e9)
+FUND_RATES = st.one_of(st.just(0.0), _MAGNITUDES, st.floats(0.0, 1.0))
+REDUCTIONS = st.lists(AMOUNTS.map(lambda x: x * 1e3), min_size=1, max_size=120)
+
+
+def _assert_rows_within(schedule, exact, scale: Fraction):
+    """Every amount of every row within BOUND * scale of the exact rows,
+    compared in integers: exact holds numerators over one denominator."""
+    denominator, rows = exact
+    assert [row.period for row in schedule.rows] == list(range(1, len(rows) + 1))
+    bound, bound_denominator = (BOUND * scale).as_integer_ratio()
+    for row, exact_row in zip(schedule.rows, rows):
+        for value, numerator in zip(row[1:], exact_row):
+            value, value_denominator = value.as_integer_ratio()
+            error = abs(value * denominator - numerator * value_denominator)  # over value_denominator * denominator
+            assert error * bound_denominator <= bound * value_denominator * denominator, (
+                f"period {row.period}: scaled error {float(Fraction(error, value_denominator * denominator) / scale):.3g}"
+            )
+
+
+@EXAMPLES
+@given(PRINCIPALS, RATES, SCHEDULE_COUNTS)
+@example(250_000.0, 0.065 / 12, 360)
+@example(1e6, 0.0, 480)
+@example(1e6, 0.18 / 12, 480)
+def test_level_schedule(principal, rate, n):
+    # the balance recursion carries each rounding on at (1 + i) per period
+    growth = max(1, (1 + Fraction(rate)) ** n)
+    exact = level_schedule_exact(principal, rate, n)
+    _assert_rows_within(level_schedule(principal, rate, n), exact, Fraction(principal) * growth)
+
+
+@EXAMPLES
+@given(PRINCIPALS, RATES, FUND_RATES, SCHEDULE_COUNTS)
+@example(1e6, 0.08 / 12, 0.0, 360)
+@example(1e6, 0.08 / 12, 0.04 / 12, 480)
+def test_sinking_fund_schedule(principal, rate, recovery_rate, n):
+    exact = sinking_fund_schedule_exact(principal, rate, recovery_rate, n)
+    _assert_rows_within(sinking_fund_schedule(principal, rate, recovery_rate, n), exact, Fraction(principal))
+
+
+@EXAMPLES
+@given(REDUCTIONS, RATES)
+@example([-500.0] * 24 + [1500.0] * 336, 0.07 / 12)
+def test_generalized_schedule(reductions, rate):
+    # the principal when no period amortizes negatively
+    scale = sum(abs(Fraction(x)) for x in reductions)
+    schedule = generalized_schedule(reductions, rate)
+    _assert_within(schedule.principal, sum(map(Fraction, reductions)), scale)
+    _assert_rows_within(schedule, generalized_schedule_exact(reductions, rate), scale)

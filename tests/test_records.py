@@ -20,6 +20,9 @@ from propval import (
     OffsetStreamSpec,
     Project,
     RecurrenceSpec,
+    generalized_schedule,
+    level_schedule,
+    sinking_fund_schedule,
 )
 
 NAN, INF = math.nan, math.inf
@@ -229,3 +232,19 @@ def test_offset_stream_spec_stores_its_recurrence_as_a_spec():
 def test_records_compare_equal_to_plain_tuples():
     assert PROJECT == ("A", (-1000.0, 200.0, 1200.0))
     assert repr(PROJECT) == "Project(name='A', cashflows=(-1000.0, 200.0, 1200.0))"
+
+
+def test_schedule_rows_are_built_past_a_constructor_that_checks_nothing():
+    # the schedule builders make their rows with tuple.__new__, as a plain
+    # named tuple's _make does, and so skip any __new__ of the class
+    assert "__new__" not in vars(AmortizationRow), (
+        "AmortizationRow defines its own __new__: the schedule builders skip it, "
+        "so a validating __new__ needs them to call the class again"
+    )
+    for schedule in (
+        level_schedule(1000.0, 0.01, 3),
+        sinking_fund_schedule(1000.0, 0.01, 0.005, 3),
+        generalized_schedule([400.0, -100.0, 700.0], 0.01),
+    ):
+        for row in schedule.rows:
+            assert type(row) is AmortizationRow and row == AmortizationRow(*row)

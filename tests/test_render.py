@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propval import (
+    AmortizationRow,
+    AmortizationSchedule,
     generalized_schedule,
     level_schedule,
     schedule_to_csv,
@@ -182,6 +184,12 @@ def test_align_table_matches_ljust(rows):
     assert align_table(rows) == align_table_oracle(rows)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_align_table_without_columns(count):
+    rows = [[] for _ in range(count)]
+    assert align_table(rows) == align_table_oracle(rows) == "\n" * count
+
+
 rates = st.one_of(st.just(0.0), st.floats(-0.5, 0.3), st.sampled_from((0.005, 0.01, 0.1)))
 amounts = st.one_of(
     st.floats(-1e7, 1e7),
@@ -236,3 +244,36 @@ def test_cli_table_rows_match_the_oracle_per_cell(kind, principal, rate, n, plac
         assert main(argv + ["--precision", str(places)]) == 0
     table = out.getvalue().splitlines()[:-1]  # the last line is the residual
     assert [line.split() for line in table] == schedule_cells_oracle(schedule, places)
+
+
+# Rows built by hand rather than by a builder: periods that print
+# differently as str and as an integer, int amounts, -0.0, negatives that
+# round to zero, ties and values at the fast path's 2**40 / 10**p limit,
+# for every places. The rows of four fast-path amounts take the row
+# template, the others format_fixed per amount.
+HAND_AMOUNTS = (
+    [0, 7, -3, 10**6, -0.0, 0.0, -1.5e-11, -0.0049999, -5e-324, 2.675, -2.675, 0.125, 1.005]
+    + [-0.4 / 10**p for p in range(13)]
+    + [x / 10**p for p in range(13) for x in (EDGE, nudged(EDGE, -1), nudged(EDGE, 1), -EDGE)]
+)
+FAST_AMOUNTS = ((1, 2, 3, 4), (1234.5, -98.76, 0.0, 1e9 + 0.25), (0, 0, 0, 0))
+
+
+def hand_built_schedule() -> AmortizationSchedule:
+    rows = [AmortizationRow(period, *amounts) for period in (1, 1.0, True) for amounts in FAST_AMOUNTS]
+    periods = (1, 1.0, True)
+    for k in range(0, len(HAND_AMOUNTS), 4):
+        amounts = (HAND_AMOUNTS[k : k + 4] + [1.5, 2.5, 3.5])[:4]
+        rows.append(AmortizationRow(periods[k // 4 % 3], *amounts))
+    return AmortizationSchedule(1000.0, 0.01, tuple(rows))
+
+
+def test_hand_built_rows_to_csv():
+    schedule = hand_built_schedule()
+    assert schedule_to_csv(schedule) == "".join(",".join(row) + "\n" for row in schedule_cells_oracle(schedule, 2))
+
+
+@pytest.mark.parametrize("places", range(13))
+def test_hand_built_rows_to_table(places):
+    schedule = hand_built_schedule()
+    assert schedule_to_table(schedule, places) == align_table_oracle(schedule_cells_oracle(schedule, places))
