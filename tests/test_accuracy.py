@@ -179,10 +179,10 @@ def _assert_rows_within(schedule, exact, scale: Fraction):
     bound, bound_denominator = (BOUND * scale).as_integer_ratio()
     for row, exact_row in zip(schedule.rows, rows):
         for value, numerator in zip(row[1:], exact_row):
-            value, value_denominator = value.as_integer_ratio()
-            error = abs(value * denominator - numerator * value_denominator)  # over value_denominator * denominator
-            assert error * bound_denominator <= bound * value_denominator * denominator, (
-                f"period {row.period}: scaled error {float(Fraction(error, value_denominator * denominator) / scale):.3g}"
+            top, bottom = value.as_integer_ratio()
+            error = abs(top * denominator - numerator * bottom)  # over bottom * denominator
+            assert error * bound_denominator <= bound * bottom * denominator, (
+                f"period {row.period}: scaled error {float(Fraction(error, bottom * denominator) / scale):.3g}"
             )
 
 

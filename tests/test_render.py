@@ -257,14 +257,14 @@ HAND_AMOUNTS = (
     + [x / 10**p for p in range(13) for x in (EDGE, nudged(EDGE, -1), nudged(EDGE, 1), -EDGE)]
 )
 FAST_AMOUNTS = ((1, 2, 3, 4), (1234.5, -98.76, 0.0, 1e9 + 0.25), (0, 0, 0, 0))
+PERIODS = (1, 1.0, True)
 
 
 def hand_built_schedule() -> AmortizationSchedule:
-    rows = [AmortizationRow(period, *amounts) for period in (1, 1.0, True) for amounts in FAST_AMOUNTS]
-    periods = (1, 1.0, True)
+    rows = [AmortizationRow(period, *amounts) for period in PERIODS for amounts in FAST_AMOUNTS]
     for k in range(0, len(HAND_AMOUNTS), 4):
         amounts = (HAND_AMOUNTS[k : k + 4] + [1.5, 2.5, 3.5])[:4]
-        rows.append(AmortizationRow(periods[k // 4 % 3], *amounts))
+        rows.append(AmortizationRow(PERIODS[k // 4 % 3], *amounts))
     return AmortizationSchedule(1000.0, 0.01, tuple(rows))
 
 
