@@ -16,6 +16,7 @@ rate and a month count.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from . import _EXPORTS
 from ._record import record
@@ -33,13 +34,15 @@ class AmortizationRow(record("AmortizationRow", COLUMNS)):
     __slots__ = ()
 
 
-def _schedule_rows(rows: list[tuple]) -> tuple:
+def _schedule_rows(rows: list[tuple], builder: str) -> tuple:
     """The builders' plain 5-tuples as AmortizationRows, one C call each.
 
     tuple.__new__ is what a plain named tuple's _make calls: it skips
     AmortizationRow.__new__, which validates nothing as long as the class
-    defines none of its own.
+    defines none of its own. A non-finite amount raises OverflowError.
     """
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise OverflowError(f"{builder}: result is out of floating-point range")
     new = tuple.__new__
     return tuple([new(AmortizationRow, row) for row in rows])
 
@@ -73,7 +76,10 @@ def level_schedule(principal: float, rate: float, n: int) -> AmortizationSchedul
     _check_real(principal, "principal", _POSITIVE)
     rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
-    payment = principal * (1.0 / _annuity(rate, n))
+    try:
+        payment = principal * (1.0 / _annuity(rate, n))
+    except OverflowError:  # a(n, rate) past the double range
+        raise OverflowError("level_schedule: result is out of floating-point range") from None
     rows = []
     balance = principal
     for period in range(1, n + 1):
@@ -81,7 +87,7 @@ def level_schedule(principal: float, rate: float, n: int) -> AmortizationSchedul
         reduction = payment - interest
         balance -= reduction
         rows.append((period, payment, interest, reduction, balance))
-    return AmortizationSchedule(principal, rate, _schedule_rows(rows))
+    return AmortizationSchedule(principal, rate, _schedule_rows(rows, "level_schedule"))
 
 
 def generalized_schedule(principal_reductions: list[float], rate: float) -> AmortizationSchedule:
@@ -110,7 +116,7 @@ def generalized_schedule(principal_reductions: list[float], rate: float) -> Amor
         interest = rate * tails[k]
         reduction = reductions[k]
         rows.append((k + 1, reduction + interest, interest, reduction, tails[k + 1]))
-    return AmortizationSchedule(principal, rate, _schedule_rows(rows))
+    return AmortizationSchedule(principal, rate, _schedule_rows(rows, "generalized_schedule"))
 
 
 def sinking_fund_schedule(
@@ -129,7 +135,10 @@ def sinking_fund_schedule(
     rate = _check_real(rate, "rate", _RATE)
     recovery_rate = _check_real(recovery_rate, "recovery_rate", _NONNEGATIVE)
     n = _check_periods(n)
-    sff = _sff(recovery_rate, n)
+    try:
+        sff = _sff(recovery_rate, n)
+    except OverflowError:  # s(n, recovery_rate) past the double range
+        raise OverflowError("sinking_fund_schedule: result is out of floating-point range") from None
     deposit = sff * principal
     rows = []
     fund_prev = 0.0  # s(k-1, r): accumulation factor of the fund so far
@@ -140,22 +149,31 @@ def sinking_fund_schedule(
         fund_now = fund_prev * (1.0 + recovery_rate) + 1.0
         rows.append((period, interest + recovered, interest, recovered, principal * (1.0 - sff * fund_now)))
         fund_prev = fund_now
-    return AmortizationSchedule(principal, rate, _schedule_rows(rows))
+    return AmortizationSchedule(principal, rate, _schedule_rows(rows, "sinking_fund_schedule"))
 
 
 def verify_main_theorem(schedule: AmortizationSchedule) -> float:
     """Residual of: discounted payments == total principal reductions.
 
     Returns |sum(payment_k / (1+i)^k) - sum(P_k)|; zero up to float noise
-    for every schedule produced by this module.
+    for every schedule produced by this module. A residual that is not
+    finite raises OverflowError.
     """
     rate = schedule.rate
     discounted = 0.0
     factor = 1.0
     for row in schedule.rows:
         factor /= 1.0 + rate
-        discounted += row.payment * factor
-    return abs(discounted - math.fsum(schedule.principal_reductions))
+        payment = row.payment
+        if payment:  # skipped when 0: 0 times an overflowed factor is nan
+            discounted += payment * factor
+    try:
+        residual = abs(discounted - math.fsum(schedule.principal_reductions))
+    except OverflowError:  # fsum's own, when a partial sum leaves the double range
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise OverflowError("verify_main_theorem: result is out of floating-point range")
+    return residual
 
 
 # one % template per number of places: the period through %s, so that it
@@ -209,4 +227,4 @@ def schedule_to_dict(schedule: AmortizationSchedule) -> dict:
 def schedule_to_json(schedule: AmortizationSchedule) -> str:
     import json
 
-    return json.dumps(schedule_to_dict(schedule))
+    return json.dumps(schedule_to_dict(schedule), allow_nan=False)

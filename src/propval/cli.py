@@ -3,7 +3,7 @@ Each handler imports the modules it uses, so a call loads only what its
 subcommand needs.
 
 Subcommands: tvm, amort, caprate, value, irr. Every subcommand accepts
---format {table,csv,json} and --precision N (irr ignores the latter).
+--format {table,csv,json}, and all but irr --precision N.
 Rates are decimal fractions (0.10, never 10). Exit codes: 0 success,
 1 usage or parameter error (a non-finite number in argv, or a result out
 of floating-point range, included), 2 unreadable or malformed input file
@@ -12,8 +12,8 @@ of floating-point range, included), 2 unreadable or malformed input file
 Output conventions: table format prints bare scalars (or name/value lines
 when a result has a breakdown) and renders IRRs as percentages; csv prints
 name,value rows or schedule rows; json carries raw doubles plus a
-"schema": 1 marker. Each handler returns through _emit, which checks every
-number of the report's JSON payload once, then renders only the chosen format.
+"schema": 1 marker. Each handler returns through _emit, which renders only the
+chosen format; a result out of range raises OverflowError before that.
 """
 
 from __future__ import annotations
@@ -72,36 +72,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _places_from(args: argparse.Namespace) -> dict[str, int]:
     """Display decimals by value kind: 2 for money and 4 for rates, or --precision for both."""
-    if args.precision is None:
+    if getattr(args, "precision", None) is None:  # irr takes no --precision
         return {"money": 2, "rate": 4}
     places = _check_periods(args.precision, "--precision", 0, MAX_PLACES)
     return {"money": places, "rate": places}
 
 
-def _all_finite(item) -> bool:
-    """True when every float in item, a report payload of dicts and lists, is finite."""
-    if isinstance(item, (dict, list)):
-        return all(map(_all_finite, item.values() if isinstance(item, dict) else item))
-    return not isinstance(item, float) or math.isfinite(item)
-
-
-def _emit(output_format: str, payload: dict, table, csv) -> int:
-    """Print json.dumps(payload), or the text table() or csv() renders, once every
-    float of payload is finite; one out of range raises OverflowError first."""
-    if not _all_finite(payload):
-        raise OverflowError("a result is not a finite number")
+def _emit(output_format: str, payload, table, csv) -> int:
+    """Print json.dumps(payload()), or the text table() or csv() renders."""
     if output_format == "json":
         import json
 
-        text = json.dumps(payload) + "\n"
+        sys.stdout.write(json.dumps(payload()) + "\n")
     else:
-        text = (csv if output_format == "csv" else table)()
-    sys.stdout.write(text)
+        sys.stdout.write((csv if output_format == "csv" else table)())
     return 0
 
 
 def _scalars(values: dict[str, float], places: int) -> tuple:
-    """Payload, table and CSV renderers of named scalars; a table prints a lone one bare."""
+    """Payload, table and CSV renderers of named scalars; a table prints a lone one
+    bare. A value out of floating-point range raises OverflowError."""
+    if not all(map(math.isfinite, values.values())):
+        raise OverflowError("a result is not a finite number")
 
     def lines(separator: str) -> str:
         return "".join(f"{name}{separator}{format_fixed(value, places)}\n" for name, value in values.items())
@@ -109,7 +101,7 @@ def _scalars(values: dict[str, float], places: int) -> tuple:
     def table() -> str:
         return lines(" ") if len(values) > 1 else format_fixed(*values.values(), places) + "\n"
 
-    return {"schema": 1, **values}, table, lambda: lines(",")
+    return lambda: {"schema": 1, **values}, table, lambda: lines(",")
 
 
 def _load_json(path: str):
@@ -146,7 +138,7 @@ def _load_reductions_file(path: str) -> list[float]:
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
         raise InputFileError(f"{path}: principal reductions must all be numbers")
     reductions = [float(x) for x in data]
-    if not _all_finite(reductions):
+    if not all(map(math.isfinite, reductions)):
         raise InputFileError(f"{path}: principal reductions must be finite")
     return reductions
 
@@ -190,7 +182,7 @@ def _cmd_amort(args: argparse.Namespace, places: dict[str, int]) -> int:
     residual = amortization.verify_main_theorem(schedule)
     return _emit(
         args.format,
-        {**amortization.schedule_to_dict(schedule), "main_theorem_residual": residual},
+        lambda: {**amortization.schedule_to_dict(schedule), "main_theorem_residual": residual},
         lambda: amortization.schedule_to_table(schedule, places["money"]) + f"main theorem residual: {residual:.6e}\n",
         lambda: amortization.schedule_to_csv(schedule) + f"# main_theorem_residual={residual:.6e}\n",
     )
@@ -271,7 +263,7 @@ def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
     else:
         report = (loaded[0], projects.irr_all(loaded[0], bounds), args.npv_at or ())
         table, csv, to_dict = projects.analysis_table, projects.analysis_csv, projects.analysis_to_dict
-    return _emit(args.format, to_dict(*report), lambda: table(*report), lambda: csv(*report))
+    return _emit(args.format, lambda: to_dict(*report), lambda: table(*report), lambda: csv(*report))
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +277,18 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, fill, commands: di
         sub.add_parser(name, help=help_text).fill = lambda p, name=name: fill(p, name)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The --format and --precision options every leaf subcommand takes."""
+def _add_common(p: argparse.ArgumentParser, precision: bool = True) -> None:
+    """The --format option every leaf subcommand takes, and --precision unless told not to."""
     p.add_argument(
         "--format",
         choices=("table", "csv", "json"),
         default="table",
         help="output format (default table)",
     )
-    p.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        metavar="N",
-        help="display decimals for every value (defaults: 2 money, 4 rates)",
-    )
+    if precision:
+        p.add_argument(
+            "--precision", type=int, metavar="N", help="display decimals for every value (defaults: 2 money, 4 rates)"
+        )
 
 
 def _fill_command(p: argparse.ArgumentParser, command: str) -> None:
@@ -341,7 +330,7 @@ def _fill_command(p: argparse.ArgumentParser, command: str) -> None:
             "hoskold": "safe-rate declining stream value",
         })
     else:  # irr
-        _add_common(p)
+        _add_common(p, precision=False)
         p.add_argument("files", nargs="+", help="project JSON file(s): {\"name\": ..., \"cashflows\": [...]}")
         p.add_argument("--compare", action="store_true", help="pairwise comparison of two projects")
         p.add_argument(

@@ -22,10 +22,7 @@ cash-flow vectors in the orientation whose NPV slopes downward, and its
 unique IRR is the cutoff rate below which the later-paying project wins.
 The comparison report carries the IRRs of both projects and of the
 difference, all searched in the same bounds, so the table, CSV and JSON
-renderers below only format what compare_pairwise found. The table and
-CSV renderers build their rows through one row builder, which computes
-and checks every requested NPV before it formats a cell; an NPV out of
-floating-point range raises OverflowError in every renderer.
+renderers below only format what compare_pairwise found.
 """
 
 from __future__ import annotations
@@ -116,13 +113,17 @@ class ComparisonReport(
 
 
 def npv(project: Project, rate: float) -> float:
-    """Net present value at the given rate: sum of C_t / (1+r)^t."""
+    """Net present value at the given rate: sum of C_t / (1+r)^t, skipping zero
+    flows (0 times an overflowed factor is nan); an infinite total raises OverflowError."""
     rate = _check_real(rate, "rate", _RATE)
     factor = 1.0
     total = project.cashflows[0]
     for flow in project.cashflows[1:]:
         factor /= 1.0 + rate
-        total += flow * factor
+        if flow:
+            total += flow * factor
+    if not math.isfinite(total):
+        raise OverflowError("npv: result is out of floating-point range")
     return total
 
 
@@ -436,7 +437,7 @@ def analysis_to_dict(
             "classification": result.classification,
             "search_bounds": list(result.search_bounds),
         },
-        "npv": {_rate_text(r): value for r, value in zip(npv_rates, _reported_npvs(project, npv_rates))},
+        "npv": {_rate_text(r): value for r, value in zip(npv_rates, [npv(project, r) for r in npv_rates])},
     }
 
 
@@ -446,21 +447,13 @@ def _rate_text(rate: float) -> str:
     return text if float(text) == rate else repr(rate)
 
 
-def _reported_npvs(project: Project, npv_rates) -> list[float]:
-    """The NPV at each rate; one out of floating-point range raises OverflowError."""
-    values = [npv(project, r) for r in npv_rates]
-    if not all(map(math.isfinite, values)):
-        raise OverflowError("a reported NPV is not a finite number")
-    return values
-
-
 def _project_rows(entries, npv_rates, csv: bool) -> list[list[str]]:
     """A header row, then for each (project, IrrResult) its name, its flows
     zero-padded to the longest project, its IRR cells and its NPV at each
     rate. Table cells show the IRRs as percentages, or "none"; CSV cells
     join them in percent by ';' and add the classification. Every NPV is
-    computed and checked before any cell is formatted."""
-    npvs = [_reported_npvs(project, npv_rates) for project, _ in entries]
+    computed before any cell is formatted."""
+    npvs = [[npv(project, r) for r in npv_rates] for project, _ in entries]
     periods = range(max(len(p.cashflows) for p, _ in entries))
     if csv:
         header = ["project", *(f"c{t}" for t in periods), "irr", "classification"]

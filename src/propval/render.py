@@ -106,10 +106,9 @@ def format_percent(rate: float, places: int = 2) -> str:
 
 
 def align_table(rows: list[list[str]]) -> str:
-    """Left-aligned columns padded to the widest cell, two-space gutters."""
-    columns = list(zip(*rows))
+    """Left-aligned columns padded to the widest cell, two-space gutters; ragged rows raise ValueError."""
+    columns = list(zip(*rows, strict=True))
     line = "  ".join([f"%-{max(map(len, column))}s" for column in columns])
-    # zip(*columns) gives the rows back as tuples, cut to the shortest row;
     # with no column at all, each row prints as an empty line
     cells = zip(*columns) if columns else [()] * len(rows)
     return "\n".join([(line % row).rstrip() for row in cells]) + "\n"

@@ -8,6 +8,7 @@ import pytest
 
 import propval
 
+from propval import amortization, projects
 from propval import (
     annuity_pv,
     balance_fraction,
@@ -479,6 +480,16 @@ class TestErrorContract:
         assert (code, out) == (1, "")
         assert "floating-point range" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_irr_takes_no_precision(self, run, project_files, fmt):
+        # irr prints money and IRR cells at 2 decimals only, so it offers no --precision
+        code, out, err = run("irr", project_files["A"], "--precision", "2", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (
+            "usage: propval [-h] {tvm,amort,caprate,value,irr} ...\n"
+            "propval: error: unrecognized arguments: --precision 2\n"
+        )
+
     def test_huge_value_renders_in_every_format(self, run):
         argv = ("value", "growth", "--g", "10", "--i", "0.1", "--n", "300", "--format")
         value = constant_ratio_annuity_value(10.0, 0.1, 300)
@@ -489,6 +500,52 @@ class TestErrorContract:
         assert outputs["csv"][1] == f"value,{table}\n"
         assert json.loads(outputs["json"][1])["value"] == value
         assert float(table) == value
+
+
+class TestEachCallRendersOnce:
+    """A call builds only the format it prints, and computes each NPV once."""
+
+    def test_table_and_csv_build_no_json_payload(self, run, project_files, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a JSON payload was built")
+
+        for module, name in (
+            (amortization, "schedule_to_dict"), (projects, "analysis_to_dict"), (projects, "comparison_to_dict")
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        reductions = tmp_path / "reductions.json"
+        reductions.write_text("[100, 300, 600]")
+        calls = [
+            ["amort", "level", "--pv", "1000", "--i", "0.1", "--n", "5"],
+            ["amort", "general", "--file", str(reductions), "--i", "0.1"],
+            ["amort", "sinking", "--v", "1000", "--i", "0.1", "--r", "0.05", "--n", "5"],
+            ["irr", project_files["A"], "--npv-at", "0.1,0.12"],
+            ["irr", project_files["A"], project_files["B"], "--compare"],
+        ]
+        for argv in calls:
+            for fmt in ("table", "csv"):
+                code, out, err = run(*argv, "--format", fmt)
+                assert (code, err) == (0, "") and out, (argv, fmt)
+            with pytest.raises(AssertionError, match="JSON payload"):
+                main([*argv, "--format", "json"])
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_irr_computes_each_npv_once(self, run, project_files, monkeypatch, fmt):
+        calls = []
+
+        def counted(project, rate):
+            calls.append((project.name, rate))
+            return real_npv(project, rate)
+
+        real_npv = projects.npv
+        monkeypatch.setattr(projects, "npv", counted)
+        code, _, err = run("irr", project_files["A"], "--npv-at", "0.1,0.12", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert calls == [("A", 0.1), ("A", 0.12)]
+        calls.clear()
+        code, _, err = run("irr", project_files["A"], project_files["B"], "--compare", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sorted(calls) == sorted((name, rate) for name in ("A", "B", "A-B") for rate in (0.1, 0.12))
 
 
 class TestDeterminismAndExitCodes:

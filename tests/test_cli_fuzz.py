@@ -81,11 +81,12 @@ def _options(*required, **optional):
     return st.tuples(*parts).map(lambda groups: [arg for group in groups for arg in group])
 
 
-def _leaf(head, tail, kind=None):
+def _leaf(head, tail, kind=None, precision=True):
     """(argv without --format, kind of the values printed) for one leaf;
-    kind is 'rate' or 'money' where the output is named scalars."""
-    precision = st.one_of(st.just([]), st.integers(-1, 13).map(lambda p: [f"--precision={p}"]))
-    return st.tuples(st.just(head), tail, precision).map(lambda t: (t[0] + t[1] + t[2], kind))
+    kind is 'rate' or 'money' where the output is named scalars. irr, which
+    takes no --precision, passes precision=False."""
+    places = st.integers(-1, 13).map(lambda p: [f"--precision={p}"]) if precision else st.nothing()
+    return st.tuples(st.just(head), tail, st.one_of(st.just([]), places)).map(lambda t: (t[0] + t[1] + t[2], kind))
 
 
 ELLWOOD = [("m", FRACTION), ("i", RATE), ("months", PERIODS), ("hold", HOLD), ("y", RATE)]
@@ -121,8 +122,12 @@ LEAVES = (
     _leaf(["value", "growth"], _options(("g", RATE), ("i", RATE), ("n", PERIODS)), "money"),
     _leaf(["value", "accumulation"], _options(("i", RATE), ("n", PERIODS)), "money"),
     _leaf(["value", "hoskold"], _options(("income", NUMBER), ("is", RATE), ("i", RATE), ("n", PERIODS)), "money"),
-    _leaf(["irr"], st.tuples(PROJECT, _options(**IRR_OPTIONS)).map(lambda t: [t[0], *t[1]])),
-    _leaf(["irr"], st.tuples(PROJECT, PROJECT, _options(**IRR_OPTIONS)).map(lambda t: [t[0], t[1], "--compare", *t[2]])),
+    _leaf(["irr"], st.tuples(PROJECT, _options(**IRR_OPTIONS)).map(lambda t: [t[0], *t[1]]), precision=False),
+    _leaf(
+        ["irr"],
+        st.tuples(PROJECT, PROJECT, _options(**IRR_OPTIONS)).map(lambda t: [t[0], t[1], "--compare", *t[2]]),
+        precision=False,
+    ),
 )
 
 ELLWOOD_J_TINY_YIELD = [

@@ -1,0 +1,131 @@
+"""The out-of-range rule for the non-scalar results: the three schedule
+builders, verify_main_theorem and npv.
+
+A call with finite arguments in its domain returns finite numbers only, or
+raises OverflowError whose message starts with the function's name.
+Principals and flows reach +-1e308, rates run from just above -1 to 1e308,
+and counts reach 10**4.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from propval import (
+    AmortizationRow,
+    AmortizationSchedule,
+    Project,
+    generalized_schedule,
+    level_schedule,
+    npv,
+    schedule_to_csv,
+    schedule_to_json,
+    schedule_to_table,
+    sinking_fund_schedule,
+    verify_main_theorem,
+)
+
+EDGE_AMOUNTS = [0.0, 1.0, -1.0, 1e-300, 1e6, 1e300, 1e308, -1e308]
+AMOUNT = st.one_of(st.sampled_from(EDGE_AMOUNTS), st.floats(-1e308, 1e308))
+PRINCIPAL = st.one_of(st.sampled_from([1e-300, 1.0, 1e6, 1e300, 1e308]), st.floats(1e-300, 1e308))
+RATE = st.one_of(
+    st.sampled_from([-0.999999, -0.9, -0.5, 0.0, 1e-12, 0.01, 0.1, 10.0, 1e300, 1e308]),
+    st.floats(-1.0, 1e308, exclude_min=True),
+    st.floats(-1.0, 1.0, exclude_min=True),
+)
+NONNEGATIVE_RATE = st.one_of(st.sampled_from([0.0, 0.05, 10.0, 1e308]), st.floats(0.0, 1e308), st.floats(0.0, 1.0))
+COUNT = st.one_of(st.sampled_from([1, 2, 360, 400, 2_000, 10_000]), st.integers(1, 10_000))
+# short drawn lists, and one amount repeated up to 10**4 times, with or without trailing zeros
+AMOUNTS = st.one_of(
+    st.lists(AMOUNT, min_size=1, max_size=40),
+    st.tuples(AMOUNT, COUNT).map(lambda t: [t[0]] * t[1]),
+    st.tuples(st.lists(AMOUNT, min_size=1, max_size=5), COUNT).map(lambda t: t[0] + [0.0] * t[1]),
+)
+FLOWS = AMOUNTS.filter(lambda flows: len(flows) >= 2)
+
+SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def _call(function, *args):
+    """function(*args), or None when it raises the rule's OverflowError."""
+    try:
+        return function(*args)
+    except OverflowError as exc:
+        assert str(exc) == f"{function.__name__}: result is out of floating-point range"
+        return None
+
+
+def _check_schedule(builder, *args):
+    schedule = _call(builder, *args)
+    if schedule is None:
+        return
+    assert math.isfinite(schedule.principal) and math.isfinite(schedule.rate)
+    assert all(math.isfinite(x) for row in schedule.rows for x in row)
+    residual = _call(verify_main_theorem, schedule)
+    assert residual is None or math.isfinite(residual)
+
+
+@SETTINGS
+@given(principal=PRINCIPAL, rate=RATE, n=COUNT)
+def test_level_schedule(principal, rate, n):
+    _check_schedule(level_schedule, principal, rate, n)
+
+
+@SETTINGS
+@given(reductions=AMOUNTS, rate=RATE)
+def test_generalized_schedule(reductions, rate):
+    _check_schedule(generalized_schedule, reductions, rate)
+
+
+@SETTINGS
+@given(principal=PRINCIPAL, rate=RATE, recovery_rate=NONNEGATIVE_RATE, n=COUNT)
+def test_sinking_fund_schedule(principal, rate, recovery_rate, n):
+    _check_schedule(sinking_fund_schedule, principal, rate, recovery_rate, n)
+
+
+@SETTINGS
+@given(flows=FLOWS, rate=RATE)
+def test_npv(flows, rate):
+    value = _call(npv, Project("P", flows), rate)
+    assert value is None or math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "builder, args",
+    [
+        (level_schedule, (1e308, 10.0, 5)),
+        (level_schedule, (1.0, -0.9, 400)),
+        (generalized_schedule, ([1e308, 1e308], 1.0)),
+        (sinking_fund_schedule, (1e308, 1e308, 0.0, 3)),
+        (sinking_fund_schedule, (1.0, 0.1, 1e3, 400)),
+    ],
+    ids=["level-nan-row", "level-annuity", "generalized", "sinking-row", "sinking-sff"],
+)
+def test_builders_name_themselves(builder, args):
+    with pytest.raises(OverflowError, match=f"^{builder.__name__}: result is out of floating-point range$"):
+        builder(*args)
+
+
+def test_residual_out_of_range_names_verify_main_theorem():
+    # finite rows whose discounting at -90% overflows; and finite reductions
+    # whose running sum leaves the double range
+    for schedule in (generalized_schedule([1.0] * 400, -0.9), generalized_schedule([1e308, 1e308, -1e308], 0.1)):
+        with pytest.raises(OverflowError, match="^verify_main_theorem: "):
+            verify_main_theorem(schedule)
+
+
+def test_zero_payments_meet_no_overflowed_factor():
+    # at -99.9% the discount factor passes the double range near period 103;
+    # a zero payment times it once made the residual nan, though it is exactly 0
+    schedule = generalized_schedule([1.0] + [0.0] * 120, -0.999)
+    assert verify_main_theorem(schedule) == 0.0
+
+
+def test_renderers_refuse_a_hand_built_nonfinite_schedule():
+    row = AmortizationRow(1, math.inf, 0.0, 100.0, 0.0)
+    schedule = AmortizationSchedule(100.0, 0.0, (row,))
+    for render in (schedule_to_csv, schedule_to_json, lambda s: schedule_to_table(s, 2)):
+        with pytest.raises(ValueError):
+            render(schedule)

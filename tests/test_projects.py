@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +41,13 @@ class TestNpv:
             project = Project("p", flows)
             rate = rng.uniform(-0.9, 2.0)
             assert npv(project, rate) == pytest.approx(npv_oracle(flows, rate), rel=1e-12, abs=1e-9)
+
+    def test_trailing_zero_flows_meet_no_overflowed_factor(self):
+        # at -99.9% the discount factor passes the double range near t = 103,
+        # and a zero flow times it once made the NPV nan
+        flows, rate = (-1.0, 2.0) + (0.0,) * 120, -0.999
+        exact = sum(Fraction(c) / (1 + Fraction(rate)) ** t for t, c in enumerate(flows))
+        assert npv(Project("z", flows), rate) == pytest.approx(float(exact), rel=1e-12)
 
     def test_rejects_rate_at_minus_one(self, project_a):
         with pytest.raises(ValueError):
@@ -353,7 +361,8 @@ class TestComparePairwise:
     )
     def test_renderers_refuse_a_nonfinite_npv(self, render):
         huge = Project("H", (-1e308, 1e308, 1e308))
-        assert npv(huge, -0.9) == float("inf")
+        with pytest.raises(OverflowError, match="^npv: "):
+            npv(huge, -0.9)
         with pytest.raises(OverflowError):
             render(huge, irr_all(huge), (0.1, -0.9))
 

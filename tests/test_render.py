@@ -190,6 +190,13 @@ def test_align_table_without_columns(count):
     assert align_table(rows) == align_table_oracle(rows) == "\n" * count
 
 
+@pytest.mark.parametrize("rows", [[["a", "b"], ["c"]], [["a"], ["b", "c"]], [[], ["a"]]])
+def test_align_table_refuses_ragged_rows(rows):
+    # zip(*rows) once cut every row to the shortest: [["a", "b"], ["c"]] printed "a\nc\n"
+    with pytest.raises(ValueError):
+        align_table(rows)
+
+
 rates = st.one_of(st.just(0.0), st.floats(-0.5, 0.3), st.sampled_from((0.005, 0.01, 0.1)))
 amounts = st.one_of(
     st.floats(-1e7, 1e7),
