@@ -114,7 +114,7 @@ class ComparisonReport(
 
 def npv(project: Project, rate: float) -> float:
     """Net present value at the given rate: sum of C_t / (1+r)^t, skipping zero
-    flows (0 times an overflowed factor is nan); an infinite total raises OverflowError."""
+    flows (0 times an overflowed factor is nan); a non-finite total raises OverflowError."""
     rate = _check_real(rate, "rate", _RATE)
     factor = 1.0
     total = project.cashflows[0]
