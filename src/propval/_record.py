@@ -3,6 +3,12 @@
 collections.namedtuple rather than dataclasses or typing.NamedTuple: both
 of those import modules (inspect, typing) that cost a CLI call more than
 the math it runs.
+
+A validating record defines __new__, runs its checks there and ends with
+tuple.__new__(cls, (field, ...)), which is what the named tuple's own
+__new__ calls: building the record then costs one Python frame, not two.
+A record without checks is built the same way where it is built often
+(EllwoodRate, AmortizationRow), with every field given, defaults included.
 """
 
 from collections import namedtuple

@@ -10,6 +10,8 @@ income-change variant dividing by 1 + delta*J).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import _EXPORTS
 from ._record import record
 from .recurrence import _j_factor
@@ -43,7 +45,7 @@ class MortgageTerms(record("MortgageTerms", "loan_to_value annual_rate amortizat
                 "amortization_months must cover the holding period "
                 f"({amortization_months} < {12 * holding_years})"
             )
-        return super().__new__(cls, loan_to_value, annual_rate, amortization_months, holding_years)
+        return tuple.__new__(cls, (loan_to_value, annual_rate, amortization_months, holding_years))
 
 
 class AppreciationSpec(record("AppreciationSpec", "asset_change income_change", defaults=(0.0, 0.0))):
@@ -59,7 +61,7 @@ class AppreciationSpec(record("AppreciationSpec", "asset_change income_change", 
     def __new__(cls, asset_change: float = 0.0, income_change: float = 0.0) -> AppreciationSpec:
         _check_real(asset_change, "asset_change", _CHANGE)
         _check_real(income_change, "income_change")
-        return super().__new__(cls, asset_change, income_change)
+        return tuple.__new__(cls, (asset_change, income_change))
 
 
 class EllwoodRate(
@@ -157,8 +159,8 @@ def band_with_mortgage_constant(
 def mortgage_constant(annual_rate: float, amortization_months: int) -> float:
     """Annual debt service per unit of loan: 12 / a(months, rate/12)."""
     amortization_months = _check_periods(amortization_months, name="amortization_months")
-    monthly = _check_real(annual_rate / 12.0, "annual_rate / 12", _RATE)
-    return 12.0 * (1.0 / _annuity(monthly, amortization_months))
+    _check_real(annual_rate / 12.0, "annual_rate / 12", _RATE)
+    return _loan(float(annual_rate), amortization_months, amortization_months)[0]
 
 
 def ellwood_cap_rate(
@@ -197,25 +199,31 @@ def ellwood_j_cap_rate(
 
 def _ellwood(terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec, j_horizon: int | None = None):
     # the rate, divided by 1 + delta*J when J has a horizon; the records validated their fields
-    m, h, months = terms.loan_to_value, terms.holding_years, terms.amortization_months
-    monthly = terms.annual_rate / 12.0
+    m, h = terms.loan_to_value, terms.holding_years
+    r_m, bal = _loan(float(terms.annual_rate), terms.amortization_months, 12 * h)
     change = appreciation.asset_change
-    a_n = _annuity(monthly, months)
-    r_m = 12.0 * (1.0 / a_n)
-    paid_months = 12 * h
-    bal = 0.0 if paid_months == months else _annuity(monthly, months - paid_months) / a_n
     paid = 1.0 - bal
     sff = _sff(equity_yield, h)
     c_factor = equity_yield + paid * sff - r_m
     rate = equity_yield - m * c_factor - change * sff
     akerson = m * r_m + (1.0 - m) * equity_yield - m * paid * sff - change * sff
     if j_horizon is None:
-        return EllwoodRate(rate, c_factor, r_m, paid, bal, sff, akerson)
+        return tuple.__new__(EllwoodRate, (rate, c_factor, r_m, paid, bal, sff, akerson, None, 0.0))
     j, delta = _j_factor(equity_yield, j_horizon), appreciation.income_change
     denom = 1.0 + delta * j
     if denom == 0.0:
         raise ValueError("income change cancels the J adjustment; rate undefined")
-    return EllwoodRate(rate / denom, c_factor, r_m, paid, bal, sff, akerson / denom, j, delta)
+    return tuple.__new__(EllwoodRate, (rate / denom, c_factor, r_m, paid, bal, sff, akerson / denom, j, delta))
+
+
+@lru_cache(maxsize=64)
+def _loan(annual_rate: float, months: int, paid_months: int) -> tuple[float, float]:
+    # mortgage constant R_m and the balance fraction left after paid_months of a
+    # monthly loan; a sweep asks for one loan's pair at every point, so it is kept
+    monthly = annual_rate / 12.0
+    a_n = _annuity(monthly, months)
+    bal = 0.0 if paid_months == months else _annuity(monthly, months - paid_months) / a_n
+    return 12.0 * (1.0 / a_n), bal
 
 
 def recovery_cap_rate(method: str, rate: float, n: int, safe_rate: float | None = None) -> float:

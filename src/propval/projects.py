@@ -59,7 +59,7 @@ class Project(record("Project", "name cashflows")):
             raise ValueError("a project needs at least two cash flows")
         if not all(math.isfinite(c) for c in flows):
             raise ValueError("cash flows must be finite")
-        return super().__new__(cls, name, flows)
+        return tuple.__new__(cls, (name, flows))
 
     @property
     def gross(self) -> float:

@@ -12,6 +12,8 @@ the sinking-fund declining streams behind the Ring and Hoskold methods.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import _EXPORTS
 from ._record import record
 from .timevalue import _NONNEGATIVE, _RATE, _accumulation, _annuity, _check_periods, _check_real, _increasing, _sff
@@ -25,10 +27,10 @@ class RecurrenceSpec(record("RecurrenceSpec", "multiplier increment seed")):
     __slots__ = ()
 
     def __new__(cls, multiplier: float, increment: float, seed: float) -> RecurrenceSpec:
-        self = super().__new__(cls, multiplier, increment, seed)
-        for field, value in zip(self._fields, self):
-            _check_real(value, field)
-        return self
+        _check_real(multiplier, "multiplier")
+        _check_real(increment, "increment")
+        _check_real(seed, "seed")
+        return tuple.__new__(cls, (multiplier, increment, seed))
 
 
 class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurrence")):
@@ -45,7 +47,7 @@ class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurr
     def __new__(cls, first_income: float, decrement: float, recurrence: RecurrenceSpec) -> OffsetStreamSpec:
         _check_real(first_income, "first_income")
         _check_real(decrement, "decrement")
-        return super().__new__(cls, first_income, decrement, RecurrenceSpec._make(recurrence))
+        return tuple.__new__(cls, (first_income, decrement, RecurrenceSpec._make(recurrence)))
 
 
 def recurrence_terms(spec: RecurrenceSpec, n: int) -> list[float]:
@@ -138,6 +140,7 @@ def ellwood_j_factor(rate: float, n: int) -> float:
     return _j_factor(_check_real(rate, "rate", _RATE), _check_periods(n))
 
 
+@lru_cache(maxsize=256)  # a sweep asks for each yield's J at several points
 def _j_factor(rate: float, n: int) -> float:
     return _increasing(rate, rate, n) / (_annuity(rate, n) * _accumulation(rate, n))
 

@@ -1,5 +1,5 @@
 """Accuracy of the factor and changing-income forms, gaps down to 0 included,
-and of every row of the three schedules.
+of every row of the three schedules, and of npv.
 
 Each closed form is compared with an exact Fraction sum of its stream
 (tests/oracles.py) and must satisfy |computed - exact| <= BOUND * scale.
@@ -15,6 +15,7 @@ worst.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -32,7 +33,9 @@ from propval import (
     ellwood_j_factor,
     generalized_schedule,
     installment_to_amortize,
+    Project,
     level_schedule,
+    npv,
     portion_paid,
     pv_reversion,
     recurrence_term,
@@ -216,3 +219,28 @@ def test_generalized_schedule(reductions, rate):
     schedule = generalized_schedule(reductions, rate)
     _assert_within(schedule.principal, sum(map(Fraction, reductions)), scale)
     _assert_rows_within(schedule, generalized_schedule_exact(reductions, rate), scale)
+
+
+# npv: Higham's bound for a sum of products (Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 3.1 and 5.1). The loop's discount factor
+# after t periods carries 2t roundings (1 + r once, each division once), the
+# product one more, and the running sum n - t + 1 more, so with n periods
+# |npv - exact| <= gamma(2n + 2) * sum |C_t| (1 + r)^-t, where gamma(k) =
+# k u / (1 - k u) and u is the unit roundoff. Rates and amounts keep every
+# factor and product normal, where that bound holds. oracles.npv_oracle runs
+# the same float loop as npv, so it cannot serve as the exact sum here.
+UNIT_ROUNDOFF = Fraction(sys.float_info.epsilon) / 2
+FLOWS = st.lists(AMOUNTS, min_size=2, max_size=121)
+
+
+@EXAMPLES
+@given(FLOWS, RATES)
+@example([-1e3] + [1e3 * (1 - 1e-15)] * 120, 1e-15)
+@example([1e3, -1e3] * 60 + [1e3], 1.0)
+def test_npv(flows, rate):
+    n = len(flows) - 1
+    discount = 1 / (1 + Fraction(rate))
+    exact = sum(Fraction(c) * discount**t for t, c in enumerate(flows))
+    scale = sum(abs(Fraction(c)) * discount**t for t, c in enumerate(flows))
+    gamma = (2 * n + 2) * UNIT_ROUNDOFF / (1 - (2 * n + 2) * UNIT_ROUNDOFF)
+    assert abs(Fraction(npv(Project("p", flows), rate)) - exact) <= gamma * scale

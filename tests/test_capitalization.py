@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from propval import (
     sinking_fund_factor,
     recovery_cap_rate,
 )
+
+from propval.capitalization import _loan
 
 from oracles import accumulation_sum, annuity_sum, stream_pv
 
@@ -361,3 +364,52 @@ class TestEllwoodBitIdentity:
             income_change=change.income_change,
         )
         assert ellwood_j_cap_rate(terms, equity_yield, change, n_for_j) == expected
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestLoanMemo:
+    """_loan keeps each loan's pair; a kept pair equals a fresh evaluation bit
+    for bit, whichever of 0.0, -0.0 and 0 filled the entry."""
+
+    RATES = [0.0, -0.0, 0] + [random.Random(19).uniform(-0.5, 1.0) for _ in range(20)]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_kept_loan_equals_fresh(self, order):
+        rng = random.Random(1919)
+        _loan.cache_clear()
+        for rate in self.RATES[::order]:
+            hold = rng.randint(1, 40)
+            for months in (12 * hold, 12 * hold + rng.randint(1, 360)):  # 12 * hold == months leaves no balance
+                fresh = _loan.__wrapped__(rate, months, 12 * hold)
+                for _ in range(2):  # a miss, then a hit
+                    assert _bits(_loan(float(rate), months, 12 * hold)) == _bits(fresh)
+                    assert mortgage_constant(rate, months).hex() == _loan.__wrapped__(rate, months, months)[0].hex()
+                    e = ellwood_cap_rate(MortgageTerms(0.75, rate, months, hold), 0.1, AppreciationSpec(0.1, 0.2))
+                    assert _bits([e.mortgage_constant, e.balance_fraction]) == _bits(fresh)
+                assert fresh[1] == 0.0 or months != 12 * hold
+
+    def test_memo_is_bounded(self):
+        assert _loan.cache_parameters()["maxsize"] <= 256
+
+
+class TestRecordsBuiltInOneFrame:
+    def test_appreciation_spec_defaults_and_paths_still_validate(self):
+        assert AppreciationSpec() == (0.0, 0.0) and type(AppreciationSpec()) is AppreciationSpec
+        spec = AppreciationSpec._make((0.1, 0.2))
+        assert spec == (0.1, 0.2) and type(spec) is AppreciationSpec
+        assert spec._replace(income_change=0.3) == (0.1, 0.3)
+        with pytest.raises(ValueError, match="asset_change must be >= -1"):
+            AppreciationSpec._make((-2.0, 0.0))
+        with pytest.raises(ValueError, match="income_change must be finite"):
+            spec._replace(income_change=math.nan)
+
+    def test_ellwood_rate_fields_are_the_constructors(self):
+        terms, spec = MortgageTerms(0.75, 0.08, 300, 10), AppreciationSpec(0.1, 0.2)
+        constant = ellwood_cap_rate(terms, 0.12, spec)
+        assert type(constant) is EllwoodRate and constant == EllwoodRate(*constant[:7])
+        assert (constant.j_factor, constant.income_change) == (None, 0.0)
+        changing = ellwood_j_cap_rate(terms, 0.12, spec)
+        assert type(changing) is EllwoodRate and changing == EllwoodRate(*changing)

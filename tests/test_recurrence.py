@@ -4,12 +4,15 @@ import random
 import pytest
 
 from propval import (
+    AppreciationSpec,
+    MortgageTerms,
     OffsetStreamSpec,
     RecurrenceSpec,
     accumulation,
     accumulation_stream_value,
     annuity_pv,
     constant_ratio_annuity_value,
+    ellwood_j_cap_rate,
     ellwood_j_factor,
     hoskold_income_stream,
     hoskold_stream_value,
@@ -20,6 +23,7 @@ from propval import (
     value_offset_stream,
     value_recurrence_stream,
 )
+from propval.recurrence import _j_factor
 
 from oracles import (
     accumulation_sum,
@@ -338,3 +342,25 @@ class TestHoskoldStream:
     def test_rejects_non_finite_income(self, income):
         with pytest.raises(ValueError, match="income must be finite"):
             hoskold_stream_value(income, 0.10, 0.03, 10)
+
+
+class TestJFactorMemo:
+    """_j_factor keeps its results; a kept J equals a fresh evaluation bit for
+    bit, whichever of 0.0, -0.0 and 0 filled the entry."""
+
+    RATES = [0.0, -0.0, 0] + [random.Random(19).uniform(-0.5, 1.0) for _ in range(20)]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_kept_j_factor_equals_fresh(self, order):
+        rng = random.Random(1920)
+        _j_factor.cache_clear()
+        for rate in self.RATES[::order]:
+            n = rng.randint(1, 40)
+            fresh = _j_factor.__wrapped__(float(rate), n)
+            terms = MortgageTerms(0.75, 0.08, 12 * n, n)
+            for _ in range(2):  # a miss, then a hit
+                assert ellwood_j_factor(rate, n).hex() == fresh.hex()
+                assert ellwood_j_cap_rate(terms, rate, AppreciationSpec(0.1, 0.2)).j_factor.hex() == fresh.hex()
+
+    def test_memo_is_bounded(self):
+        assert _j_factor.cache_parameters()["maxsize"] <= 256
