@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from propval import (
     OffsetStreamSpec,
+    Project,
     RecurrenceSpec,
     accumulation,
     accumulation_stream_value,
@@ -33,7 +34,6 @@ from propval import (
     ellwood_j_factor,
     generalized_schedule,
     installment_to_amortize,
-    Project,
     level_schedule,
     npv,
     portion_paid,

@@ -352,15 +352,15 @@ class TestJFactorMemo:
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
     def test_kept_j_factor_equals_fresh(self, order):
-        rng = random.Random(1920)
+        horizons = random.Random(1920).sample(range(1, 41), 4)  # shared, so 0.0, -0.0 and 0 share entries
         _j_factor.cache_clear()
         for rate in self.RATES[::order]:
-            n = rng.randint(1, 40)
-            fresh = _j_factor.__wrapped__(float(rate), n)
-            terms = MortgageTerms(0.75, 0.08, 12 * n, n)
-            for _ in range(2):  # a miss, then a hit
-                assert ellwood_j_factor(rate, n).hex() == fresh.hex()
-                assert ellwood_j_cap_rate(terms, rate, AppreciationSpec(0.1, 0.2)).j_factor.hex() == fresh.hex()
+            for n in horizons:
+                fresh = _j_factor.__wrapped__(float(rate), n)
+                terms = MortgageTerms(0.75, 0.08, 12 * n, n)
+                for _ in range(2):  # a miss, then a hit
+                    assert ellwood_j_factor(rate, n).hex() == fresh.hex()
+                    assert ellwood_j_cap_rate(terms, rate, AppreciationSpec(0.1, 0.2)).j_factor.hex() == fresh.hex()
 
     def test_memo_is_bounded(self):
         assert _j_factor.cache_parameters()["maxsize"] <= 256
