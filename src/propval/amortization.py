@@ -1,11 +1,12 @@
 """Amortization schedules: level payment, arbitrary paydown, sinking-fund.
 
-Every schedule obeys the same column arithmetic: interest is the rate
-times the prior balance, the payment is interest plus that period's
-principal reduction, and the balance telescopes to zero. The discounted
-payment column always sums back to the principal, whatever principal
-reductions were chosen; verify_main_theorem measures the float residual
-of that identity for any schedule built here.
+Every schedule is built from its principal reductions P_1..P_n, as the
+main amortization theorem builds one: the balance after period k is the
+sum of the reductions still to come, interest is the rate times the
+balance owed before the period, and the payment is that interest plus
+P_k, so the discounted payments sum back to the principal whatever the
+reductions; verify_main_theorem measures the float residual of that.
+Level loans at rate r and sinking funds earning r take P_k = P (1+r)^(k-1) / s(n, r).
 
 Amounts stay full-precision doubles; rounding happens only when a schedule
 is rendered as CSV (to cents) or as a table (to any number of decimals),
@@ -16,12 +17,13 @@ rate and a month count.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, mul
 
 from . import _EXPORTS
 from ._record import record
 from .render import MAX_PLACES, _float_rounding_agrees, _report_text, format_fixed
-from .timevalue import _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff
+from .timevalue import _NONNEGATIVE, _POSITIVE, _RATE, _accumulation, _annuity, _check_periods, _check_real
 
 __all__ = list(_EXPORTS["amortization"])
 
@@ -32,19 +34,6 @@ class AmortizationRow(record("AmortizationRow", COLUMNS)):
     """One period of a schedule; the amounts are unrounded doubles."""
 
     __slots__ = ()
-
-
-def _schedule_rows(rows: list[tuple], builder: str) -> tuple:
-    """The builders' plain 5-tuples as AmortizationRows, one C call each.
-
-    tuple.__new__ is what a plain named tuple's _make calls: it skips
-    AmortizationRow.__new__, which validates nothing as long as the class
-    defines none of its own. A non-finite amount raises OverflowError.
-    """
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise OverflowError(f"{builder}: result is out of floating-point range")
-    new = tuple.__new__
-    return tuple([new(AmortizationRow, row) for row in rows])
 
 
 class AmortizationSchedule(record("AmortizationSchedule", "principal rate rows")):
@@ -71,23 +60,16 @@ def level_schedule(principal: float, rate: float, n: int) -> AmortizationSchedul
 
     Interest comes out of each payment first; the remainder reduces the
     balance, so the principal reductions grow by (1 + rate) each period
-    and the final payment retires the loan.
+    and the final payment retires the loan. Every row carries the same
+    payment: P_1 + rate * principal, or P_1 (1 + rate)^n for a rate <= 0,
+    where that sum would cancel.
     """
-    _check_real(principal, "principal", _POSITIVE)
+    principal = _check_real(principal, "principal", _POSITIVE)
     rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
-    try:
-        payment = principal * (1.0 / _annuity(rate, n))
-    except OverflowError:  # a(n, rate) past the double range
-        raise OverflowError("level_schedule: result is out of floating-point range") from None
-    rows = []
-    balance = principal
-    for period in range(1, n + 1):
-        interest = rate * balance
-        reduction = payment - interest
-        balance -= reduction
-        rows.append((period, payment, interest, reduction, balance))
-    return AmortizationSchedule(principal, rate, _schedule_rows(rows, "level_schedule"))
+    reductions = _reductions(principal, rate, n)
+    payment = reductions[0] + rate * principal if rate > 0.0 else reductions[0] * (1.0 + rate) ** n
+    return _schedule(principal, rate, reductions, "level_schedule", payment)
 
 
 def generalized_schedule(principal_reductions: list[float], rate: float) -> AmortizationSchedule:
@@ -103,20 +85,7 @@ def generalized_schedule(principal_reductions: list[float], rate: float) -> Amor
         raise ValueError("need at least one principal reduction")
     if not all(math.isfinite(p) for p in reductions):
         raise ValueError("principal reductions must be finite")
-    rate = _check_real(rate, "rate", _RATE)
-    n = len(reductions)
-    # tails[k] = P_(k+1) + ... + P_n, built right to left so the last
-    # balance is zero exactly, not up to summation rounding.
-    tails = [0.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        tails[k] = reductions[k] + tails[k + 1]
-    principal = tails[0]
-    rows = []
-    for k in range(n):
-        interest = rate * tails[k]
-        reduction = reductions[k]
-        rows.append((k + 1, reduction + interest, interest, reduction, tails[k + 1]))
-    return AmortizationSchedule(principal, rate, _schedule_rows(rows, "generalized_schedule"))
+    return _schedule(None, _check_real(rate, "rate", _RATE), reductions, "generalized_schedule")
 
 
 def sinking_fund_schedule(
@@ -131,25 +100,47 @@ def sinking_fund_schedule(
     back the level schedule; r = 0 drops income by a constant
     rate * principal / n each period.
     """
-    _check_real(principal, "principal", _POSITIVE)
+    principal = _check_real(principal, "principal", _POSITIVE)
     rate = _check_real(rate, "rate", _RATE)
     recovery_rate = _check_real(recovery_rate, "recovery_rate", _NONNEGATIVE)
-    n = _check_periods(n)
-    try:
-        sff = _sff(recovery_rate, n)
-    except OverflowError:  # s(n, recovery_rate) past the double range
-        raise OverflowError("sinking_fund_schedule: result is out of floating-point range") from None
-    deposit = sff * principal
-    rows = []
-    fund_prev = 0.0  # s(k-1, r): accumulation factor of the fund so far
-    for period in range(1, n + 1):
-        balance_before = principal * (1.0 - sff * fund_prev)
-        interest = rate * balance_before
-        recovered = deposit * (1.0 + recovery_rate) ** (period - 1)
-        fund_now = fund_prev * (1.0 + recovery_rate) + 1.0
-        rows.append((period, interest + recovered, interest, recovered, principal * (1.0 - sff * fund_now)))
-        fund_prev = fund_now
-    return AmortizationSchedule(principal, rate, _schedule_rows(rows, "sinking_fund_schedule"))
+    reductions = _reductions(principal, recovery_rate, _check_periods(n))
+    return _schedule(principal, rate, reductions, "sinking_fund_schedule")
+
+
+def _reductions(principal: float, rate: float, n: int) -> list[float]:
+    """P_k = principal (1+rate)^(k-1) / s(n, rate), k = 1..n, each its neighbour
+    times (1+rate) or v = 1/(1+rate) from the largest on, so that none overflows
+    where the rows are representable: backward from P_n = principal / a(n, rate) * v
+    for rate > 0, else forward from P_1 = principal / s(n, rate)."""
+    if rate > 0.0:
+        v = 1.0 / (1.0 + rate)
+        reductions = list(accumulate(repeat(v, n - 1), mul, initial=principal / _annuity(rate, n) * v))
+        reductions.reverse()
+        return reductions
+    return list(accumulate(repeat(1.0 + rate, n - 1), mul, initial=principal / _accumulation(rate, n)))
+
+
+def _schedule(principal: float | None, rate: float, reductions: list[float], builder: str, payment=None):
+    """The schedule of the given reductions, principal None standing for their sum.
+
+    Balances are the sums of the reductions still to come, taken right to
+    left so that the last is 0.0 exactly. Interest accrues on the principal
+    in period 1 and on the balance owed after that; the payment is reduction
+    plus interest, or the given one in every row. Rows skip the constructor,
+    as a plain named tuple's _make does; a non-finite amount raises OverflowError.
+    """
+    owed = list(accumulate(reversed(reductions), initial=0.0))[::-1]
+    if principal is not None:
+        owed[0] = principal
+    interest = list(map(rate.__mul__, owed))  # the last, on the 0.0 owed after period n, is no row's
+    payments = list(map(add, reductions, interest)) if payment is None else [payment] * len(reductions)
+    # every amount reaches an interest or a payment; a sum is finite only if each
+    # term is, but finite terms can sum past the double range, so then check each
+    if not (math.isfinite(sum(interest) + sum(payments)) or all(map(math.isfinite, chain(interest, payments)))):
+        raise OverflowError(f"{builder}: result is out of floating-point range")
+    cells = zip(count(1), payments, interest, reductions, islice(owed, 1, None))
+    rows = tuple(map(tuple.__new__, repeat(AmortizationRow), cells))
+    return AmortizationSchedule(owed[0], rate, rows)
 
 
 def verify_main_theorem(schedule: AmortizationSchedule) -> float:

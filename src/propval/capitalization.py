@@ -15,7 +15,9 @@ from functools import lru_cache
 from . import _EXPORTS
 from ._record import record
 from .recurrence import _j_factor
-from .timevalue import _CHANGE, _FRACTION, _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff
+from .timevalue import (
+    _ANNUAL_RATE, _CHANGE, _FRACTION, _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff,
+)
 
 __all__ = list(_EXPORTS["capitalization"])
 
@@ -36,8 +38,8 @@ class MortgageTerms(record("MortgageTerms", "loan_to_value annual_rate amortizat
     def __new__(
         cls, loan_to_value: float, annual_rate: float, amortization_months: int, holding_years: int
     ) -> MortgageTerms:
-        _check_real(loan_to_value, "loan_to_value", _FRACTION)
-        _check_real(annual_rate, "annual_rate", _RATE)
+        loan_to_value = _check_real(loan_to_value, "loan_to_value", _FRACTION)
+        annual_rate = _check_real(annual_rate, "annual_rate", _RATE)
         amortization_months = _check_periods(amortization_months, name="amortization_months")
         holding_years = _check_periods(holding_years, name="holding_years")
         if amortization_months < 12 * holding_years:
@@ -59,8 +61,8 @@ class AppreciationSpec(record("AppreciationSpec", "asset_change income_change", 
     __slots__ = ()
 
     def __new__(cls, asset_change: float = 0.0, income_change: float = 0.0) -> AppreciationSpec:
-        _check_real(asset_change, "asset_change", _CHANGE)
-        _check_real(income_change, "income_change")
+        asset_change = _check_real(asset_change, "asset_change", _CHANGE)
+        income_change = _check_real(income_change, "income_change")
         return tuple.__new__(cls, (asset_change, income_change))
 
 
@@ -93,15 +95,13 @@ class EllwoodRate(
 
 def perpetuity_value(income: float, rate: float) -> float:
     """Value of a level income that never stops: I / i."""
-    _check_real(income, "income")
-    _check_real(rate, "rate", _POSITIVE)
-    return income / rate
+    return _check_real(income, "income") / _check_real(rate, "rate", _POSITIVE)
 
 
 def capitalize(income: float, cap_rate: float) -> float:
     """Value from one period's income and a capitalization rate: V = I/R."""
-    _check_real(income, "income")
-    _check_real(cap_rate, "cap_rate")
+    income = _check_real(income, "income")
+    cap_rate = _check_real(cap_rate, "cap_rate")
     if cap_rate == 0.0:
         raise ValueError("cap_rate must be nonzero")
     return income / cap_rate
@@ -109,8 +109,8 @@ def capitalize(income: float, cap_rate: float) -> float:
 
 def rate_from(value: float, income: float) -> float:
     """Implied capitalization rate R = I/V from an observed value."""
-    _check_real(value, "value")
-    _check_real(income, "income")
+    value = _check_real(value, "value")
+    income = _check_real(income, "income")
     if value == 0.0:
         raise ValueError("value must be nonzero")
     return income / value
@@ -125,8 +125,7 @@ def adjusted_cap_rate(rate: float, n: int, asset_change: float) -> float:
     """
     rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
-    _check_real(asset_change, "asset_change")
-    return rate - asset_change * _sff(rate, n)
+    return rate - _check_real(asset_change, "asset_change") * _sff(rate, n)
 
 
 def band_of_investment(loan_to_value: float, debt_rate: float, equity_yield: float) -> float:
@@ -135,9 +134,9 @@ def band_of_investment(loan_to_value: float, debt_rate: float, equity_yield: flo
     R = M*i + (1-M)*Y: the cap rate is the value-weighted average of what
     each band of the capital stack requires.
     """
-    _check_real(loan_to_value, "loan_to_value", _FRACTION)
-    _check_real(debt_rate, "debt_rate")
-    _check_real(equity_yield, "equity_yield")
+    loan_to_value = _check_real(loan_to_value, "loan_to_value", _FRACTION)
+    debt_rate = _check_real(debt_rate, "debt_rate")
+    equity_yield = _check_real(equity_yield, "equity_yield")
     return loan_to_value * debt_rate + (1.0 - loan_to_value) * equity_yield
 
 
@@ -150,17 +149,17 @@ def band_with_mortgage_constant(
     declines in step with the payoff, so the annual debt service constant
     replaces the bare interest rate.
     """
-    _check_real(loan_to_value, "loan_to_value", _FRACTION)
-    _check_real(mortgage_constant_annual, "mortgage_constant_annual")
-    _check_real(equity_yield, "equity_yield")
+    loan_to_value = _check_real(loan_to_value, "loan_to_value", _FRACTION)
+    mortgage_constant_annual = _check_real(mortgage_constant_annual, "mortgage_constant_annual")
+    equity_yield = _check_real(equity_yield, "equity_yield")
     return loan_to_value * mortgage_constant_annual + (1.0 - loan_to_value) * equity_yield
 
 
 def mortgage_constant(annual_rate: float, amortization_months: int) -> float:
     """Annual debt service per unit of loan: 12 / a(months, rate/12)."""
     amortization_months = _check_periods(amortization_months, name="amortization_months")
-    _check_real(annual_rate / 12.0, "annual_rate / 12", _RATE)
-    return _loan(float(annual_rate), amortization_months, amortization_months)[0]
+    annual_rate = _check_real(annual_rate, "annual_rate", _ANNUAL_RATE)
+    return _loan(annual_rate, amortization_months, amortization_months)[0]
 
 
 def ellwood_cap_rate(
@@ -200,7 +199,7 @@ def ellwood_j_cap_rate(
 def _ellwood(terms: MortgageTerms, equity_yield: float, appreciation: AppreciationSpec, j_horizon: int | None = None):
     # the rate, divided by 1 + delta*J when J has a horizon; the records validated their fields
     m, h = terms.loan_to_value, terms.holding_years
-    r_m, bal = _loan(float(terms.annual_rate), terms.amortization_months, 12 * h)
+    r_m, bal = _loan(terms.annual_rate, terms.amortization_months, 12 * h)
     change = appreciation.asset_change
     paid = 1.0 - bal
     sff = _sff(equity_yield, h)

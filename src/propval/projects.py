@@ -437,7 +437,7 @@ def analysis_to_dict(
             "classification": result.classification,
             "search_bounds": list(result.search_bounds),
         },
-        "npv": {_rate_text(r): value for r, value in zip(npv_rates, [npv(project, r) for r in npv_rates])},
+        "npv": {_rate_text(r): npv(project, r) for r in map(float, npv_rates)},
     }
 
 
@@ -453,6 +453,7 @@ def _project_rows(entries, npv_rates, csv: bool) -> list[list[str]]:
     rate. Table cells show the IRRs as percentages, or "none"; CSV cells
     join them in percent by ';' and add the classification. Every NPV is
     computed before any cell is formatted."""
+    npv_rates = list(map(float, npv_rates))  # as npv reads them, so that the labels format floats
     npvs = [[npv(project, r) for r in npv_rates] for project, _ in entries]
     periods = range(max(len(p.cashflows) for p, _ in entries))
     if csv:

@@ -27,9 +27,9 @@ class RecurrenceSpec(record("RecurrenceSpec", "multiplier increment seed")):
     __slots__ = ()
 
     def __new__(cls, multiplier: float, increment: float, seed: float) -> RecurrenceSpec:
-        _check_real(multiplier, "multiplier")
-        _check_real(increment, "increment")
-        _check_real(seed, "seed")
+        multiplier = _check_real(multiplier, "multiplier")
+        increment = _check_real(increment, "increment")
+        seed = _check_real(seed, "seed")
         return tuple.__new__(cls, (multiplier, increment, seed))
 
 
@@ -45,8 +45,8 @@ class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurr
     __slots__ = ()
 
     def __new__(cls, first_income: float, decrement: float, recurrence: RecurrenceSpec) -> OffsetStreamSpec:
-        _check_real(first_income, "first_income")
-        _check_real(decrement, "decrement")
+        first_income = _check_real(first_income, "first_income")
+        decrement = _check_real(decrement, "decrement")
         return tuple.__new__(cls, (first_income, decrement, RecurrenceSpec._make(recurrence)))
 
 
@@ -103,8 +103,8 @@ def straight_line_annuity_value(d: float, h: float, rate: float, n: int) -> floa
     d a_n - h/(1+i) times the value of 1, 2, ..., n-1; a negative h values
     a stream rising by a constant amount.
     """
-    _check_real(d, "d")
-    _check_real(h, "h")
+    d = _check_real(d, "d")
+    h = _check_real(h, "h")
     rate = _check_real(rate, "rate", _RATE)
     n = _check_periods(n)
     return d * _annuity(rate, n) - h * (_increasing(0.0, rate, n - 1) / (1.0 + rate))
@@ -153,14 +153,7 @@ def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -
     stream itself (see hoskold_income_stream) declines by the compounding
     interest losses of recovering capital at the safe rate.
     """
-    _check_real(income, "income")
-    rate = _check_real(rate, "rate", _RATE)
-    safe_rate = _check_real(safe_rate, "safe_rate", _NONNEGATIVE)
-    n = _check_periods(n)
-    denom = rate + _sff(safe_rate, n)
-    if denom == 0.0:
-        raise ValueError("rate plus sinking fund factor is zero; value undefined")
-    return income / denom
+    return _hoskold(income, rate, safe_rate, n)[0]
 
 
 def hoskold_income_stream(income: float, rate: float, safe_rate: float, n: int) -> list[float]:
@@ -171,6 +164,18 @@ def hoskold_income_stream(income: float, rate: float, safe_rate: float, n: int) 
     safe-rate recovery deposits. With i_s = 0 the drop is the constant
     i*V/n of the straight-line method; with i_s = i the stream is level.
     """
-    value = hoskold_stream_value(income, rate, safe_rate, n)  # checks every argument
+    value, income, rate, safe_rate, n = _hoskold(income, rate, safe_rate, n)
     loss = (rate - safe_rate) * _sff(safe_rate, n) * value
-    return [income - loss * _accumulation(safe_rate, k) for k in range(int(n))]  # 12.0 stands for 12
+    return [income - loss * _accumulation(safe_rate, k) for k in range(n)]
+
+
+def _hoskold(income: float, rate: float, safe_rate: float, n: int) -> tuple:
+    # the Hoskold value and the checked arguments it was computed from
+    income = _check_real(income, "income")
+    rate = _check_real(rate, "rate", _RATE)
+    safe_rate = _check_real(safe_rate, "safe_rate", _NONNEGATIVE)
+    n = _check_periods(n)
+    denom = rate + _sff(safe_rate, n)
+    if denom == 0.0:
+        raise ValueError("rate plus sinking fund factor is zero; value undefined")
+    return income / denom, income, rate, safe_rate, n

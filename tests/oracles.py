@@ -293,3 +293,19 @@ def sinking_fund_schedule_exact(principal: float, rate: float, recovery_rate: fl
         after = p * di * (sums[n] - sums[k] * powers[n - k])
         rows.append((interest + recovered, interest, recovered, after))
     return e * sums[n] * di, rows
+
+
+def assert_rows_within(schedule, exact, bound: Fraction):
+    """Every amount of every row within bound of the exact rows that one of
+    the *_schedule_exact oracles returned, compared in integers: they hold
+    numerators over one denominator."""
+    denominator, rows = exact
+    assert [row.period for row in schedule.rows] == list(range(1, len(rows) + 1))
+    top_bound, bound_denominator = bound.as_integer_ratio()
+    for row, exact_row in zip(schedule.rows, rows):
+        for value, numerator in zip(row[1:], exact_row):
+            top, bottom = value.as_integer_ratio()
+            error = abs(top * denominator - numerator * bottom)  # over bottom * denominator
+            assert error * bound_denominator <= top_bound * bottom * denominator, (
+                f"period {row.period}: error {float(Fraction(error, bottom * denominator) / bound):.3g} times the bound"
+            )

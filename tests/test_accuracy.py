@@ -47,6 +47,7 @@ from propval import (
 )
 
 from oracles import (
+    assert_rows_within,
     ellwood_j_exact,
     generalized_schedule_exact,
     level_schedule_exact,
@@ -174,31 +175,16 @@ FUND_RATES = st.one_of(st.just(0.0), _MAGNITUDES, st.floats(0.0, 1.0))
 REDUCTIONS = st.lists(AMOUNTS.map(lambda x: x * 1e3), min_size=1, max_size=120)
 
 
-def _assert_rows_within(schedule, exact, scale: Fraction):
-    """Every amount of every row within BOUND * scale of the exact rows,
-    compared in integers: exact holds numerators over one denominator."""
-    denominator, rows = exact
-    assert [row.period for row in schedule.rows] == list(range(1, len(rows) + 1))
-    bound, bound_denominator = (BOUND * scale).as_integer_ratio()
-    for row, exact_row in zip(schedule.rows, rows):
-        for value, numerator in zip(row[1:], exact_row):
-            top, bottom = value.as_integer_ratio()
-            error = abs(top * denominator - numerator * bottom)  # over bottom * denominator
-            assert error * bound_denominator <= bound * bottom * denominator, (
-                f"period {row.period}: scaled error {float(Fraction(error, bottom * denominator) / scale):.3g}"
-            )
-
-
 @EXAMPLES
 @given(PRINCIPALS, RATES, SCHEDULE_COUNTS)
 @example(250_000.0, 0.065 / 12, 360)
 @example(1e6, 0.0, 480)
 @example(1e6, 0.18 / 12, 480)
+@example(1e6, 0.5, 60)
+@example(1e6, 0.9, 119)
 def test_level_schedule(principal, rate, n):
-    # the balance recursion carries each rounding on at (1 + i) per period
-    growth = max(1, (1 + Fraction(rate)) ** n)
     exact = level_schedule_exact(principal, rate, n)
-    _assert_rows_within(level_schedule(principal, rate, n), exact, Fraction(principal) * growth)
+    assert_rows_within(level_schedule(principal, rate, n), exact, BOUND * Fraction(principal))
 
 
 @EXAMPLES
@@ -207,7 +193,7 @@ def test_level_schedule(principal, rate, n):
 @example(1e6, 0.08 / 12, 0.04 / 12, 480)
 def test_sinking_fund_schedule(principal, rate, recovery_rate, n):
     exact = sinking_fund_schedule_exact(principal, rate, recovery_rate, n)
-    _assert_rows_within(sinking_fund_schedule(principal, rate, recovery_rate, n), exact, Fraction(principal))
+    assert_rows_within(sinking_fund_schedule(principal, rate, recovery_rate, n), exact, BOUND * Fraction(principal))
 
 
 @EXAMPLES
@@ -218,7 +204,7 @@ def test_generalized_schedule(reductions, rate):
     scale = sum(abs(Fraction(x)) for x in reductions)
     schedule = generalized_schedule(reductions, rate)
     _assert_within(schedule.principal, sum(map(Fraction, reductions)), scale)
-    _assert_rows_within(schedule, generalized_schedule_exact(reductions, rate), scale)
+    assert_rows_within(schedule, generalized_schedule_exact(reductions, rate), BOUND * scale)
 
 
 # npv: Higham's bound for a sum of products (Accuracy and Stability of

@@ -59,6 +59,11 @@ class TestLevelSchedule:
         for prev, nxt in zip(prs, prs[1:]):
             assert nxt == pytest.approx(1.10 * prev, rel=1e-10)
 
+    @pytest.mark.parametrize("principal, rate, n", [(1000, 0.10, 5), (250_000, 0.065 / 12, 360), (1.0, -0.9, 400)])
+    def test_payments_are_one_double(self, principal, rate, n):
+        schedule = level_schedule(principal, rate, n)
+        assert len(set(schedule.payments)) == 1
+
     def test_balances_match_unit_loan_fraction(self):
         schedule = level_schedule(1000, 0.10, 5)
         for row in schedule.rows[:-1]:
@@ -101,11 +106,18 @@ class TestGeneralizedSchedule:
         )
 
     def test_final_balance_is_exactly_zero(self):
+        # all three builders sum the reductions still to come, right to left
         rng = random.Random(5)
         for _ in range(50):
             ps = [rng.uniform(-500, 500) for _ in range(rng.randrange(1, 31))]
-            schedule = generalized_schedule(ps, 0.07)
-            assert schedule.rows[-1].ending_balance == 0.0
+            principal, n = rng.uniform(1.0, 1e9), rng.randrange(1, 481)
+            rate, fund_rate = rng.uniform(-0.5, 1.0), rng.choice([0.0, rng.uniform(0.0, 1.0)])
+            for schedule in (
+                generalized_schedule(ps, 0.07),
+                level_schedule(principal, rate, n),
+                sinking_fund_schedule(principal, rate, fund_rate, n),
+            ):
+                assert schedule.rows[-1].ending_balance == 0.0
 
     def test_flags_negative_amortization(self):
         schedule = generalized_schedule([100, -50, 950], 0.05)
@@ -147,13 +159,14 @@ class TestMainTheorem:
 
 class TestSinkingFundSchedule:
     def test_matching_rates_reproduce_level_schedule(self):
-        level = level_schedule(1000, 0.10, 10)
-        sinking = sinking_fund_schedule(1000, 0.10, 0.10, 10)
-        for ours, theirs in zip(sinking.rows, level.rows):
-            assert ours.payment == pytest.approx(theirs.payment, rel=1e-9)
-            assert ours.interest == pytest.approx(theirs.interest, rel=1e-9)
-            assert ours.principal_reduction == pytest.approx(theirs.principal_reduction, rel=1e-9)
-            assert ours.ending_balance == pytest.approx(theirs.ending_balance, abs=1e-7)
+        # the same reductions, balances and interest; only the level payment
+        # is the one double P_1 + i * P where the sinking fund adds P_k + interest
+        for principal, rate, n in [(1000, 0.10, 10), (250_000, 0.065 / 12, 360), (1e6, 0.9, 119), (1e6, 0.0, 7)]:
+            level = level_schedule(principal, rate, n)
+            sinking = sinking_fund_schedule(principal, rate, rate, n)
+            for ours, theirs in zip(sinking.rows, level.rows, strict=True):
+                assert ours.payment == pytest.approx(theirs.payment, rel=1e-12)
+                assert ours[2:] == theirs[2:]
 
     def test_zero_fund_rate_drops_income_by_constant(self):
         schedule = sinking_fund_schedule(1000, 0.10, 0.0, 10)

@@ -424,7 +424,7 @@ class TestErrorContract:
         [
             (["tvm", "compound", "--rate", "10", "--n", "100000"], "floating-point range"),
             (["value", "growth", "--g", "10", "--i", "0.1", "--n", "100000"], "floating-point range"),
-            (["amort", "sinking", "--v", "1000", "--i", "0.1", "--r", "50", "--n", "400"], "floating-point range"),
+            (["amort", "sinking", "--v", "1e308", "--i", "1e308", "--r", "0", "--n", "3"], "floating-point range"),
             (
                 ["value", "straight-line", "--d", "1e308", "--h=-1e308", "--i", "0.1", "--n", "5", "--format", "json"],
                 "floating-point range",
@@ -444,6 +444,15 @@ class TestErrorContract:
         assert (code, out) == (1, "")
         assert "error:" in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_schedule_past_an_overflowed_factor_exit_0(self, run, fmt):
+        # s(400, 50) is past the double range, but every row of the schedule is not
+        argv = ["amort", "sinking", "--v", "1000", "--i", "0.1", "--r", "50", "--n", "400", "--format", fmt]
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        last = json.loads(out)["rows"][-1] if fmt == "json" else out.splitlines()[-2]
+        assert last["ending_balance"] == 0.0 if fmt == "json" else last.replace(",", " ").split()[-1] == "0.00"
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_schedule_overflow_exit_1(self, run, fmt):

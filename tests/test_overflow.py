@@ -8,6 +8,7 @@ and counts reach 10**4.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from propval import (
     sinking_fund_schedule,
     verify_main_theorem,
 )
+
+from oracles import assert_rows_within, level_schedule_exact, sinking_fund_schedule_exact
 
 EDGE_AMOUNTS = [0.0, 1.0, -1.0, 1e-300, 1e6, 1e300, 1e308, -1e308]
 AMOUNT = st.one_of(st.sampled_from(EDGE_AMOUNTS), st.floats(-1e308, 1e308))
@@ -93,19 +96,25 @@ def test_npv(flows, rate):
 
 
 @pytest.mark.parametrize(
-    "builder, args",
+    "builder, args, exact",
     [
-        (level_schedule, (1e308, 10.0, 5)),
-        (level_schedule, (1.0, -0.9, 400)),
-        (generalized_schedule, ([1e308, 1e308], 1.0)),
-        (sinking_fund_schedule, (1e308, 1e308, 0.0, 3)),
-        (sinking_fund_schedule, (1.0, 0.1, 1e3, 400)),
+        (level_schedule, (1e308, 10.0, 5), None),
+        (level_schedule, (1.0, -0.9, 400), level_schedule_exact),
+        (generalized_schedule, ([1e308, 1e308], 1.0), None),
+        (sinking_fund_schedule, (1e308, 1e308, 0.0, 3), None),
+        (sinking_fund_schedule, (1.0, 0.1, 1e3, 400), sinking_fund_schedule_exact),
     ],
     ids=["level-nan-row", "level-annuity", "generalized", "sinking-row", "sinking-sff"],
 )
-def test_builders_name_themselves(builder, args):
-    with pytest.raises(OverflowError, match=f"^{builder.__name__}: result is out of floating-point range$"):
-        builder(*args)
+def test_builders_name_themselves(builder, args, exact):
+    """Rows out of range raise the builder's own OverflowError; rows in range
+    are returned, also where a(n, i) or s(n, r) itself is past the double
+    range (1/a(400, -0.9) and 1/s(400, 1000) round to 0)."""
+    if exact is None:
+        with pytest.raises(OverflowError, match=f"^{builder.__name__}: result is out of floating-point range$"):
+            builder(*args)
+    else:
+        assert_rows_within(builder(*args), exact(*args), Fraction(args[0]) * Fraction(1e-12))
 
 
 def test_residual_out_of_range_names_verify_main_theorem():

@@ -284,6 +284,27 @@ def test_integral_float_count_matches_the_int(case, position):
     assert _call(case, position, 12.0) == expected
 
 
+# the two formatters take the float they format on a fast path that checks
+# nothing; a string is not a number there
+FLOAT_ONLY = {("format_fixed", "value"), ("format_percent", "rate")}
+
+
+def _real_cases():
+    for case, (_, args, arguments) in sorted(CASES.items()):
+        for argument, (position, kind) in arguments.items():
+            if kind == "x" and (case, argument) not in FLOAT_ONLY:
+                value = args[position[0]][position[1]] if isinstance(position, tuple) else args[position]
+                yield pytest.param(case, position, value, id=f"{case}-{argument}")
+
+
+@pytest.mark.parametrize(("case", "position", "value"), _real_cases())
+def test_numeric_string_matches_the_float(case, position, value):
+    """A real argument given as a numeric string is read as float() reads
+    it: the same result as the float, never a TypeError from using the
+    string that was checked."""
+    assert outcome(case, position, str(value)) == outcome(case, position, value)
+
+
 if __name__ == "__main__":
     text = json.dumps({case: outcomes(case) for case in CASES}, indent=1, sort_keys=True)
     TABLE.write_text(text + "\n", encoding="utf-8")
