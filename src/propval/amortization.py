@@ -109,9 +109,9 @@ def sinking_fund_schedule(
 
 def _reductions(principal: float, rate: float, n: int) -> list[float]:
     """P_k = principal (1+rate)^(k-1) / s(n, rate), k = 1..n, each its neighbour
-    times (1+rate) or v = 1/(1+rate) from the largest on, so that none overflows
-    where the rows are representable: backward from P_n = principal / a(n, rate) * v
-    for rate > 0, else forward from P_1 = principal / s(n, rate)."""
+    times (1+rate) or v = 1/(1+rate) from the largest on: backward from
+    P_n = principal / a(n, rate) * v for rate > 0, else forward from
+    P_1 = principal / s(n, rate), so that neither factor can overflow."""
     if rate > 0.0:
         v = 1.0 / (1.0 + rate)
         reductions = list(accumulate(repeat(v, n - 1), mul, initial=principal / _annuity(rate, n) * v))
@@ -120,7 +120,9 @@ def _reductions(principal: float, rate: float, n: int) -> list[float]:
     return list(accumulate(repeat(1.0 + rate, n - 1), mul, initial=principal / _accumulation(rate, n)))
 
 
-def _schedule(principal: float | None, rate: float, reductions: list[float], builder: str, payment=None):
+def _schedule(
+    principal: float | None, rate: float, reductions: list[float], builder: str, payment: float | None = None
+) -> AmortizationSchedule:
     """The schedule of the given reductions, principal None standing for their sum.
 
     Balances are the sums of the reductions still to come, taken right to

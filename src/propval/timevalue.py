@@ -45,7 +45,7 @@ _MAX = sys.float_info.max
 # inf and -inf too. An open end is the nearest double inside it.
 _FINITE = (-_MAX, _MAX, "finite")  # amounts, changes, stream parameters
 _RATE = (math.nextafter(-1.0, 0.0), _MAX, "greater than -1 and finite")  # rates, yields, growth
-_ANNUAL_RATE = (math.nextafter(-12.0, 0.0), _MAX, "greater than -12 and finite")  # annual rates of monthly loans: a twelfth is a rate
+_ANNUAL_RATE = (math.nextafter(-12.0, 0.0), _MAX, "greater than -12 and finite")  # annual rates of monthly loans
 _POSITIVE = (math.ulp(0.0), _MAX, "positive and finite")  # principals, a perpetuity's rate
 _NONNEGATIVE = (0.0, _MAX, ">= 0 and finite")  # safe and recovery rates
 _FRACTION = (0.0, 1.0, "in [0, 1]")  # loan-to-value

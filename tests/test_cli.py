@@ -451,8 +451,10 @@ class TestErrorContract:
         argv = ["amort", "sinking", "--v", "1000", "--i", "0.1", "--r", "50", "--n", "400", "--format", fmt]
         code, out, err = run(*argv)
         assert (code, err) == (0, "")
-        last = json.loads(out)["rows"][-1] if fmt == "json" else out.splitlines()[-2]
-        assert last["ending_balance"] == 0.0 if fmt == "json" else last.replace(",", " ").split()[-1] == "0.00"
+        if fmt == "json":
+            assert json.loads(out)["rows"][-1]["ending_balance"] == 0.0
+        else:  # the last row's balance, above the residual line
+            assert out.splitlines()[-2].replace(",", " ").split()[-1] == "0.00"
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_schedule_overflow_exit_1(self, run, fmt):
