@@ -150,23 +150,38 @@ def verify_main_theorem(schedule: AmortizationSchedule) -> float:
 
     Returns |sum(payment_k / (1+i)^k) - sum(P_k)|; zero up to float noise
     for every schedule produced by this module. A residual that is not
-    finite raises OverflowError.
+    finite raises OverflowError; a sum that passes the double range on the
+    way is taken again, scaled down by a power of two.
     """
+    residual = _residual(schedule, 1.0)
+    if not math.isfinite(residual):
+        # a partial sum or a discount factor can pass the double range where
+        # the residual does not; scaled by 2**-k with 2**k > 2n, n terms
+        # within the range and the difference of two such sums stay within
+        # it, and a power of two scales exactly but for subnormal terms
+        scale = 0.5 ** (len(schedule.rows).bit_length() + 1)
+        residual = _residual(schedule, scale) / scale
+        if not math.isfinite(residual):
+            raise OverflowError("verify_main_theorem: result is out of floating-point range")
+    return residual
+
+
+def _residual(schedule: AmortizationSchedule, scale: float) -> float:
+    """verify_main_theorem's residual times scale, a power of two; inf when
+    fsum's partial sum leaves the double range."""
     rate = schedule.rate
     discounted = 0.0
-    factor = 1.0
+    factor = scale
     for row in schedule.rows:
         factor /= 1.0 + rate
         payment = row.payment
         if payment:  # skipped when 0: 0 times an overflowed factor is nan
             discounted += payment * factor
+    reductions = schedule.principal_reductions
     try:
-        residual = abs(discounted - math.fsum(schedule.principal_reductions))
-    except OverflowError:  # fsum's own, when a partial sum leaves the double range
-        residual = math.inf
-    if not math.isfinite(residual):
-        raise OverflowError("verify_main_theorem: result is out of floating-point range")
-    return residual
+        return abs(discounted - math.fsum(reductions if scale == 1.0 else map(scale.__mul__, reductions)))
+    except OverflowError:
+        return math.inf
 
 
 # one % template per number of places: the period through %s, so that it
@@ -217,7 +232,30 @@ def schedule_to_dict(schedule: AmortizationSchedule) -> dict:
     }
 
 
+# a row of schedule_to_dict as json.dumps prints it: %d prints an int and %r
+# a finite float as json.dumps does
+_JSON_ROW = '{"period": %d, "payment": %r, "interest": %r, "principal_reduction": %r, "ending_balance": %r}'
+
+
 def schedule_to_json(schedule: AmortizationSchedule) -> str:
+    """json.dumps(schedule_to_dict(schedule), allow_nan=False), byte for byte.
+
+    When the rows are AmortizationRows whose periods are ints and whose
+    amounts, like the principal and the rate, are finite floats, as every
+    builder makes them, each row prints through one % template. Any other
+    schedule goes through json.dumps, which raises ValueError on a value
+    that is not finite.
+    """
+    principal, rate, rows = schedule
+    if {*map(type, rows)} <= {AmortizationRow}:
+        amounts = [principal, rate, *chain.from_iterable(rows)]
+        periods = amounts[2::5]
+        del amounts[2::5]
+        # a finite sum has finite terms; a sum past the double range only
+        # sends the schedule to json.dumps
+        if {*map(type, periods)} <= {int} and {*map(type, amounts)} == {float} and math.isfinite(sum(amounts)):
+            head = '{"schema": 1, "principal": %r, "rate": %r, "rows": [' % (principal, rate)
+            return head + ", ".join(map(_JSON_ROW.__mod__, rows)) + "]}"
     import json
 
     return json.dumps(schedule_to_dict(schedule), allow_nan=False)

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 from . import _EXPORTS
 from ._record import record
-from .recurrence import _j_factor
 from .timevalue import (
-    _ANNUAL_RATE, _CHANGE, _FRACTION, _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _sff,
+    _ANNUAL_RATE, _CHANGE, _FRACTION, _NONNEGATIVE, _POSITIVE, _RATE, _annuity, _check_periods, _check_real, _j_factor,
+    _sff,
 )
 
 __all__ = list(_EXPORTS["capitalization"])

@@ -54,10 +54,14 @@ class Project(record("Project", "name cashflows")):
     __slots__ = ()
 
     def __new__(cls, name: str, cashflows) -> Project:
-        flows = tuple(float(c) for c in cashflows)
+        # a tuple of floats is kept as given, anything else converted once
+        if type(cashflows) is tuple and {*map(type, cashflows)} == {float}:
+            flows = cashflows
+        else:
+            flows = tuple(map(float, cashflows))
         if len(flows) < 2:
             raise ValueError("a project needs at least two cash flows")
-        if not all(math.isfinite(c) for c in flows):
+        if not all(map(math.isfinite, flows)):
             raise ValueError("cash flows must be finite")
         return tuple.__new__(cls, (name, flows))
 
@@ -418,7 +422,7 @@ def project_from_dict(data: dict, fallback_name: str = "project") -> Project:
         raise ValueError("cashflows must be a list of at least two numbers")
     if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in flows):
         raise ValueError("cashflows must all be numbers")
-    project = Project(name, tuple(float(c) for c in flows))
+    project = Project(name, flows)
     if not any(c != 0.0 for c in project.cashflows):
         raise ValueError("cashflows must include a nonzero entry")
     return project

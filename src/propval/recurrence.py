@@ -12,11 +12,11 @@ the sinking-fund declining streams behind the Ring and Hoskold methods.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import _EXPORTS
 from ._record import record
-from .timevalue import _NONNEGATIVE, _RATE, _accumulation, _annuity, _check_periods, _check_real, _increasing, _sff
+from .timevalue import (
+    _NONNEGATIVE, _RATE, _accumulation, _annuity, _check_periods, _check_real, _increasing, _j_factor, _sff,
+)
 
 __all__ = list(_EXPORTS["recurrence"])
 
@@ -138,11 +138,6 @@ def ellwood_j_factor(rate: float, n: int) -> float:
     the denominator of the changing-income cap rate.
     """
     return _j_factor(_check_real(rate, "rate", _RATE), _check_periods(n))
-
-
-@lru_cache(maxsize=256)  # a sweep asks for each yield's J at several points
-def _j_factor(rate: float, n: int) -> float:
-    return _increasing(rate, rate, n) / (_annuity(rate, n) * _accumulation(rate, n))
 
 
 def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -> float:

@@ -28,11 +28,13 @@ __all__ = ["format_fixed", "format_percent", "align_table"]
 
 MAX_PLACES = 12
 _POW10 = tuple(10.0**k for k in range(MAX_PLACES + 1))  # exact doubles up to 10**22
-_FIXED_SPECS = tuple(f".{k}f" for k in range(MAX_PLACES + 1))  # built once: a nested spec costs more than the check
-_SCALED_LIMIT = 2.0**40
+_FIXED_TEMPLATES = tuple(f"%.{k}f" for k in range(MAX_PLACES + 1))  # built once: a nested spec costs more than the check
+# the fast path's bounds, computed once: |scaled| below 2**40, and more
+# than 1e-3 from every half-integer
+_SCALED_LOW, _SCALED_HIGH = -(2.0**40), 2.0**40
+_TIE_LOW, _TIE_HIGH = 1e-3 - 0.5, 0.5 - 1e-3
 # adding and subtracting 1.5 * 2**52 rounds a double below 2**51 in size to an integer
 _RINT = 1.5 * 2.0**52
-_TIE_MARGIN = 1e-3
 # a finite double has at most 309 integer digits, and a percent of one 311;
 # keep every one plus the decimals
 _DECIMAL_DIGITS = 311 + MAX_PLACES
@@ -46,7 +48,7 @@ def _float_rounding_agrees(value: float, places: int) -> bool:
     itself is exact), and r * 10**places is within 2**-13 of s, as r lies
     within half an ulp of value: at most 2**-53 * |value|, or 2**-1075 for
     a subnormal. The rounding to an integer and the difference below are
-    exact. So when the computed product is more than _TIE_MARGIN from every
+    exact. So when the computed product is more than 1e-3 from every
     half-integer, s and r * 10**places lie on the same side of each one:
     correctly rounded float formatting of value and ROUND_HALF_UP on r give
     the same integer. Float formatting keeps the sign of a value that
@@ -55,8 +57,8 @@ def _float_rounding_agrees(value: float, places: int) -> bool:
     """
     scaled = value * _POW10[places]
     return (
-        -_SCALED_LIMIT < scaled < _SCALED_LIMIT
-        and _TIE_MARGIN - 0.5 < scaled - (scaled + _RINT - _RINT) < 0.5 - _TIE_MARGIN
+        _SCALED_LOW < scaled < _SCALED_HIGH
+        and _TIE_LOW < scaled - (scaled + _RINT - _RINT) < _TIE_HIGH
         and (scaled > 0.0 or scaled <= -0.5 or copysign(1.0, scaled) > 0.0)
     )
 
@@ -67,16 +69,17 @@ def format_fixed(value: float, places: int) -> str:
         places = _check_periods(places, "places", 0, MAX_PLACES)
     # _float_rounding_agrees(value, places) inline, its proof in its docstring;
     # the range and tie tests do not depend on the sign of value
-    scaled = value * _POW10[places]
-    if (
-        -_SCALED_LIMIT < scaled < _SCALED_LIMIT
-        and _TIE_MARGIN - 0.5 < scaled - (scaled + _RINT - _RINT) < 0.5 - _TIE_MARGIN
-    ):
+    try:
+        scaled = value * _POW10[places]
+    except TypeError:  # not a number, such as a numeric string: read as float() reads it
+        value = _check_real(value, "value")
+        scaled = value * _POW10[places]
+    if _SCALED_LOW < scaled < _SCALED_HIGH and _TIE_LOW < scaled - (scaled + _RINT - _RINT) < _TIE_HIGH:
         if scaled > 0.0 or scaled <= -0.5 or copysign(1.0, scaled) > 0.0:
-            return format(value, _FIXED_SPECS[places])
+            return _FIXED_TEMPLATES[places] % value
         # a negative value that rounds to zero: its absolute value prints
         # the unsigned zero
-        return format(-value, _FIXED_SPECS[places])
+        return _FIXED_TEMPLATES[places] % -value
     return _format_decimal(_check_real(value, "value"), places)
 
 
@@ -98,7 +101,11 @@ def format_percent(rate: float, places: int = 2) -> str:
     A finite rate whose percent overflows a double (above ~1.8e306) is
     scaled on its decimal digits instead.
     """
-    percent = rate * 100.0
+    try:
+        percent = rate * 100.0
+    except TypeError:  # not a number, such as a numeric string: read as float() reads it
+        rate = _check_real(rate, "rate")
+        percent = rate * 100.0
     if not isfinite(percent):
         places = _check_periods(places, "places", 0, MAX_PLACES)
         return _format_decimal(_check_real(rate, "rate"), places, scale=2) + "%"
@@ -108,9 +115,15 @@ def format_percent(rate: float, places: int = 2) -> str:
 def align_table(rows: list[list[str]]) -> str:
     """Left-aligned columns padded to the widest cell, two-space gutters; ragged rows raise ValueError."""
     columns = list(zip(*rows, strict=True))
-    line = "  ".join([f"%-{max(map(len, column))}s" for column in columns])
+    specs = [f"%-{max(map(len, column))}s" for column in columns]
     # with no column at all, each row prints as an empty line
     cells = zip(*columns) if columns else [()] * len(rows)
+    if columns and all(last := columns[-1]) and last == tuple(map(str.rstrip, last)):
+        # every last cell ends in a non-blank, so rstrip would take only the
+        # last column's padding: leave it unpadded instead
+        specs[-1] = "%s"
+        return "\n".join(map("  ".join(specs).__mod__, cells)) + "\n"
+    line = "  ".join(specs)
     return "\n".join([(line % row).rstrip() for row in cells]) + "\n"
 
 

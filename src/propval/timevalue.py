@@ -27,13 +27,15 @@ check raises ValueError("<name> must be <range>, got <value>"):
 The private kernels _annuity, _accumulation, _sff and _increasing hold each
 formula and its zero-rate branch once and check nothing; a caller hands
 them only values it has checked, or fields of a record that validated them
-when it was built.
+when it was built. _j_factor, Ellwood's J, is built from three of them and
+keeps its results.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 
 from . import _EXPORTS
 
@@ -118,6 +120,12 @@ def _sff(rate: float, n: int) -> float:
     if rate == 0.0:
         return 1.0 / n
     return rate / math.expm1(n * math.log1p(rate))
+
+
+@lru_cache(maxsize=256)  # a cap-rate sweep asks for each yield's J at several points
+def _j_factor(rate: float, n: int) -> float:
+    """Ellwood's J: the value of s_1..s_n over a_n s_n."""
+    return _increasing(rate, rate, n) / (_annuity(rate, n) * _accumulation(rate, n))
 
 
 def compound_amount(rate: float, n: int) -> float:

@@ -118,11 +118,26 @@ def test_builders_name_themselves(builder, args, exact):
 
 
 def test_residual_out_of_range_names_verify_main_theorem():
-    # finite rows whose discounting at -90% overflows; and finite reductions
-    # whose running sum leaves the double range
-    for schedule in (generalized_schedule([1.0] * 400, -0.9), generalized_schedule([1e308, 1e308, -1e308], 0.1)):
-        with pytest.raises(OverflowError, match="^verify_main_theorem: "):
-            verify_main_theorem(schedule)
+    # finite rows whose discounting at -90% overflows
+    with pytest.raises(OverflowError, match="^verify_main_theorem: "):
+        verify_main_theorem(generalized_schedule([1.0] * 400, -0.9))
+
+
+def test_residual_past_an_overflowed_partial_sum():
+    """The running sums of the reductions and of the discounted payments
+    leave the double range; the residual of the rows, 7.2e290, does not.
+    The float residual is within gamma(3n + 3) of the summed magnitudes of
+    the exact one: each term carries 1 + rate, k divisions, a product and
+    n additions, and fsum and the subtraction one rounding each."""
+    schedule = generalized_schedule([1e308, 1e308, -1e308], 0.1)
+    v = 1 / (1 + Fraction(schedule.rate))
+    terms = [Fraction(row.payment) * v**row.period for row in schedule.rows]
+    terms += [-Fraction(p) for p in schedule.principal_reductions]
+    exact = abs(sum(terms))
+    assert 7.1e290 < exact < 7.2e290
+    k = 3 * len(schedule.rows) + 3
+    gamma = Fraction(k, 2**53 - k)
+    assert abs(Fraction(verify_main_theorem(schedule)) - exact) <= gamma * sum(map(abs, terms))
 
 
 def test_zero_payments_meet_no_overflowed_factor():

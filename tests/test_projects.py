@@ -63,6 +63,14 @@ class TestNpv:
         with pytest.raises(ValueError):
             Project("x", (100.0,))
 
+    def test_tuple_of_floats_is_kept(self):
+        flows = (-100.0, 60.0, 60.0)
+        assert Project("p", flows).cashflows is flows
+        # anything else becomes a new tuple of floats
+        for given in ([-100.0, 60.0, 60.0], (-100, 60.0, 60.0), (True, -1.0)):
+            cashflows = Project("p", given).cashflows
+            assert cashflows == tuple(map(float, given)) and {*map(type, cashflows)} == {float}
+
 
 class TestIrrAll:
     def test_project_a_single_root(self, project_a):

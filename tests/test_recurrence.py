@@ -23,7 +23,7 @@ from propval import (
     value_offset_stream,
     value_recurrence_stream,
 )
-from propval.recurrence import _j_factor
+from propval.timevalue import _j_factor
 
 from oracles import (
     accumulation_sum,

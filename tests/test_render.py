@@ -1,14 +1,16 @@
 """format_fixed and the schedule renderers against the Decimal oracle.
 
-format_fixed formats with a float f-string when _float_rounding_agrees
+format_fixed formats with a float % template when _float_rounding_agrees
 proves that exact, and with Decimal otherwise; every output must equal the
-Decimal-only oracle in tests/oracles.py, byte for byte.
+Decimal-only oracle in tests/oracles.py, byte for byte. schedule_to_json
+must equal json.dumps of schedule_to_dict, byte for byte.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import sys
 
@@ -22,6 +24,8 @@ from propval import (
     generalized_schedule,
     level_schedule,
     schedule_to_csv,
+    schedule_to_dict,
+    schedule_to_json,
     schedule_to_table,
     sinking_fund_schedule,
 )
@@ -190,6 +194,22 @@ def test_align_table_without_columns(count):
     assert align_table(rows) == align_table_oracle(rows) == "\n" * count
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["a", "bb"], ["ccc", ""], ["d", "e"]],
+        [["a", "bb"], ["ccc", "d "], ["e", "f"]],
+        [["a", "bb"], ["ccc", " "], ["e", "f\t"]],
+        [["a"], ["bbb"], ["cc"]],
+        [["a"], [""], ["b "]],
+    ],
+    ids=["empty-last-cell", "last-cell-ends-in-blank", "blank-last-cells", "one-column", "one-column-blanks"],
+)
+def test_align_table_last_column(rows):
+    # an empty or blank-ended last cell keeps the padded, rstripped lines
+    assert align_table(rows) == align_table_oracle(rows)
+
+
 @pytest.mark.parametrize("rows", [[["a", "b"], ["c"]], [["a"], ["b", "c"]], [[], ["a"]]])
 def test_align_table_refuses_ragged_rows(rows):
     # zip(*rows) once cut every row to the shortest: [["a", "b"], ["c"]] printed "a\nc\n"
@@ -216,6 +236,28 @@ def schedules(draw):
     if kind == "level":
         return level_schedule(principal, rate, n)
     return sinking_fund_schedule(principal, rate, draw(st.floats(0.0, 0.2)), n)
+
+
+def json_oracle(schedule) -> str:
+    return json.dumps(schedule_to_dict(schedule), allow_nan=False)
+
+
+@given(
+    st.sampled_from(("level", "sinking", "general")),
+    st.floats(1.0, 1e7),
+    st.one_of(st.sampled_from((-0.999, -0.5, 0.0, 0.065 / 12)), st.floats(-0.999, 0.3)),
+    st.integers(1, 480),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_json_matches_json_dumps(kind, principal, rate, n, random):
+    if kind == "level":
+        schedule = level_schedule(principal, rate, n)
+    elif kind == "sinking":
+        schedule = sinking_fund_schedule(principal, rate, random.uniform(0.0, 0.2), n)
+    else:
+        schedule = generalized_schedule([random.uniform(-2 * principal, principal) / n for _ in range(n)], rate)
+    assert schedule_to_json(schedule) == json_oracle(schedule)
 
 
 @given(schedules())
@@ -278,6 +320,20 @@ def hand_built_schedule() -> AmortizationSchedule:
 def test_hand_built_rows_to_csv():
     schedule = hand_built_schedule()
     assert schedule_to_csv(schedule) == "".join(",".join(row) + "\n" for row in schedule_cells_oracle(schedule, 2))
+
+
+def float_rows_schedule() -> AmortizationSchedule:
+    """The hand-built amounts as floats under int periods: the rows that
+    schedule_to_json prints through its row template."""
+    amounts = [float(x) for x in HAND_AMOUNTS] + [5e-324, 1e16, 1e22, -1.7976931348623157e308, 0.1, -0.1]
+    rows = [AmortizationRow(k // 4 + 1, *amounts[k : k + 4]) for k in range(0, len(amounts) - 3, 4)]
+    return AmortizationSchedule(1e-300, -0.999, tuple(rows))
+
+
+@pytest.mark.parametrize("build", [hand_built_schedule, float_rows_schedule])
+def test_hand_built_rows_to_json(build):
+    schedule = build()
+    assert schedule_to_json(schedule) == json_oracle(schedule)
 
 
 @pytest.mark.parametrize("places", range(13))

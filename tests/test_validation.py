@@ -284,15 +284,10 @@ def test_integral_float_count_matches_the_int(case, position):
     assert _call(case, position, 12.0) == expected
 
 
-# the two formatters take the float they format on a fast path that checks
-# nothing; a string is not a number there
-FLOAT_ONLY = {("format_fixed", "value"), ("format_percent", "rate")}
-
-
 def _real_cases():
     for case, (_, args, arguments) in sorted(CASES.items()):
         for argument, (position, kind) in arguments.items():
-            if kind == "x" and (case, argument) not in FLOAT_ONLY:
+            if kind == "x":
                 value = args[position[0]][position[1]] if isinstance(position, tuple) else args[position]
                 yield pytest.param(case, position, value, id=f"{case}-{argument}")
 
