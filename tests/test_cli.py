@@ -626,7 +626,7 @@ NEVER_LOADED = {"dataclasses", "inspect"}
         (
             ["caprate", "ellwood-j", "--m", "0.7", "--i", "0.09", "--months", "300", "--hold", "10",
              "--y", "0.14", "--delta", "0.2"],
-            {"propval.projects", "propval.amortization", "json"},
+            {"propval.projects", "propval.amortization", "propval.recurrence", "json"},
         ),
         (
             ["value", "offset", "--d", "100", "--h", "1", "--m", "1.1", "--b", "0", "--c", "1",
