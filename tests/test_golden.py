@@ -26,12 +26,20 @@ FORMATS = ("table", "csv", "json")
 A, B, D = (str(GOLDEN / f"{name}.json") for name in "ABD")
 
 CASES = {
-    "tvm-annuity": ["tvm", "annuity", "--rate", "0.10", "--n", "5"],
+    **{f"tvm-{fn}": ["tvm", fn, "--rate", "0.10", "--n", "5"]
+       for fn in ("compound", "reversion", "annuity", "amortize", "accumulate", "sff")},
     "tvm-bal": ["tvm", "bal", "--rate", "0.01", "--n", "360", "--k", "120"],
+    "tvm-pp": ["tvm", "pp", "--rate", "0.01", "--n", "360", "--k", "120"],
     "amort-level": ["amort", "level", "--pv", "1000", "--i", "0.10", "--n", "5"],
     "amort-general": ["amort", "general", "--file", str(GOLDEN / "reductions.json"), "--i", "0.10"],
     "amort-sinking": ["amort", "sinking", "--v", "1000", "--i", "0.10", "--r", "0.05", "--n", "5"],
     "caprate-band": ["caprate", "band", "--m", "0.7", "--i", "0.08", "--y", "0.12"],
+    "caprate-band-rm": ["caprate", "band-rm", "--m", "0.7", "--rm", "0.1007", "--y", "0.12"],
+    "caprate-mortgage-constant": ["caprate", "mortgage-constant", "--i", "0.09", "--months", "300"],
+    "caprate-adjusted": ["caprate", "adjusted", "--i", "0.12", "--n", "10", "--delta0", "-0.2"],
+    "caprate-ring": ["caprate", "ring", "--i", "0.10", "--n", "10"],
+    "caprate-hoskold": ["caprate", "hoskold", "--i", "0.10", "--is", "0.03", "--n", "10"],
+    "caprate-annuity": ["caprate", "annuity", "--i", "0.10", "--n", "10"],
     "caprate-ellwood": [
         "caprate", "ellwood", "--m", "0.7", "--i", "0.09", "--months", "300",
         "--hold", "10", "--y", "0.14", "--delta0", "0.1",
@@ -40,6 +48,12 @@ CASES = {
         "caprate", "ellwood-j", "--m", "0.7", "--i", "0.09", "--months", "300",
         "--hold", "10", "--y", "0.14", "--delta0", "0.1", "--delta", "0.2",
     ],
+    "value-recurrence": ["value", "recurrence", "--m", "1.05", "--b", "2", "--c", "100", "--i", "0.10", "--n", "10"],
+    "value-offset": [
+        "value", "offset", "--d", "100", "--h", "1", "--m", "1.1", "--b", "0", "--c", "1", "--i", "0.10", "--n", "5",
+    ],
+    "value-accumulation": ["value", "accumulation", "--i", "0.10", "--n", "10"],
+    "value-hoskold": ["value", "hoskold", "--income", "1000", "--is", "0.03", "--i", "0.10", "--n", "10"],
     "value-growth": ["value", "growth", "--g", "0.05", "--i", "0.10", "--n", "10"],
     "value-straight-line": ["value", "straight-line", "--d", "100", "--h", "10", "--i", "0.10", "--n", "4"],
     "irr-single": ["irr", A, "--npv-at", "0.10,0.12"],
