@@ -1,6 +1,9 @@
 """Command-line front end. Thin dispatch only; all math lives in the library.
-Each handler imports the modules it uses, so a call loads only what its
-subcommand needs.
+
+_TREE describes each leaf subcommand once: its help line, its options in
+help order, and the library call it makes. build_parser fills only the
+parsers on a call's path from it, and _dispatch imports the one propval
+module the chosen command uses, runs the leaf's call and renders the result.
 
 Subcommands: tvm, amort, caprate, value, irr. Every subcommand accepts
 --format {table,csv,json}, and all but irr --precision N.
@@ -12,8 +15,9 @@ of floating-point range, included), 2 unreadable or malformed input file
 Output conventions: table format prints bare scalars (or name/value lines
 when a result has a breakdown) and renders IRRs as percentages; csv prints
 name,value rows or schedule rows; json carries raw doubles plus a
-"schema": 1 marker. Each handler returns through _emit, which renders only the
-chosen format; a result out of range raises OverflowError before that.
+"schema": 1 marker. Each command's renderer prints through _emit, which
+renders only the chosen format; a result out of range raises OverflowError
+before that.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from importlib import import_module
 
 from .render import MAX_PLACES, format_fixed
 from .timevalue import _check_periods
@@ -78,30 +83,55 @@ def _places_from(args: argparse.Namespace) -> dict[str, int]:
     return {"money": places, "rate": places}
 
 
-def _emit(output_format: str, payload, table, csv) -> int:
-    """Print json.dumps(payload()), or the text table() or csv() renders."""
-    if output_format == "json":
-        import json
-
-        sys.stdout.write(json.dumps(payload()) + "\n")
-    else:
-        sys.stdout.write((csv if output_format == "csv" else table)())
+def _emit(output_format: str, table, csv, json) -> int:
+    """Print the text that the chosen format's renderer returns."""
+    sys.stdout.write({"table": table, "csv": csv, "json": json}[output_format]())
     return 0
 
 
-def _scalars(values: dict[str, float], places: int) -> tuple:
-    """Payload, table and CSV renderers of named scalars; a table prints a lone one
-    bare. A value out of floating-point range raises OverflowError."""
-    if not all(map(math.isfinite, values.values())):
-        raise OverflowError("a result is not a finite number")
+def _dumps(payload) -> str:
+    import json
 
-    def lines(separator: str) -> str:
-        return "".join(f"{name}{separator}{format_fixed(value, places)}\n" for name, value in values.items())
+    return json.dumps(payload) + "\n"
 
-    def table() -> str:
-        return lines(" ") if len(values) > 1 else format_fixed(*values.values(), places) + "\n"
 
-    return lambda: {"schema": 1, **values}, table, lambda: lines(",")
+def _scalars(kind: str, key: str):
+    """Renderer of a value named key, or of a dict of named values, shown with
+    the places of kind ('money' or 'rate'); a table prints a lone value bare.
+    A value out of floating-point range raises OverflowError."""
+
+    def render(module, result, output_format: str, places: dict[str, int]) -> int:
+        values = result if isinstance(result, dict) else {key: result}
+        if not all(map(math.isfinite, values.values())):
+            raise OverflowError("a result is not a finite number")
+        digits = places[kind]
+
+        def lines(separator: str) -> str:
+            return "".join(f"{name}{separator}{format_fixed(value, digits)}\n" for name, value in values.items())
+
+        def table() -> str:
+            return lines(" ") if len(values) > 1 else format_fixed(*values.values(), digits) + "\n"
+
+        return _emit(output_format, table, lambda: lines(","), lambda: _dumps({"schema": 1, **values}))
+
+    return render
+
+
+def _schedule(amortization, schedule, output_format: str, places: dict[str, int]) -> int:
+    """Print a schedule and its main-theorem residual, always a finite float."""
+    residual = amortization.verify_main_theorem(schedule)
+    return _emit(
+        output_format,
+        lambda: amortization.schedule_to_table(schedule, places["money"]) + f"main theorem residual: {residual:.6e}\n",
+        lambda: amortization.schedule_to_csv(schedule) + f"# main_theorem_residual={residual:.6e}\n",
+        lambda: amortization.schedule_to_json(schedule)[:-1] + ', "main_theorem_residual": %r}\n' % residual,
+    )
+
+
+def _report(projects, result, output_format: str, places: dict[str, int]) -> int:
+    """Print an irr report through its (table, csv, to_dict) renderers."""
+    report, (table, csv, to_dict) = result
+    return _emit(output_format, lambda: table(*report), lambda: csv(*report), lambda: _dumps(to_dict(*report)))
 
 
 def _load_json(path: str):
@@ -137,117 +167,55 @@ def _load_reductions_file(path: str) -> list[float]:
         )
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
         raise InputFileError(f"{path}: principal reductions must all be numbers")
-    reductions = [float(x) for x in data]
-    if not all(map(math.isfinite, reductions)):
+    try:
+        reductions = [float(x) for x in data]
+        finite = all(map(math.isfinite, reductions))
+    except OverflowError:  # an integer beyond the double range
+        finite = False
+    if not finite:
         raise InputFileError(f"{path}: principal reductions must be finite")
     return reductions
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# the command tree
+
+_TVM = {
+    "compound": "compound_amount", "reversion": "pv_reversion", "annuity": "annuity_pv",
+    "amortize": "installment_to_amortize", "accumulate": "accumulation", "sff": "sinking_fund_factor",
+    "bal": "balance_fraction", "pp": "portion_paid",
+}
 
 
-def _cmd_tvm(args: argparse.Namespace, places: dict[str, int]) -> int:
-    from . import timevalue
-
-    fn = args.function
-    if fn in ("bal", "pp"):
-        if args.k is None:
-            raise ValueError(f"tvm {fn} requires --k")
-        op = timevalue.balance_fraction if fn == "bal" else timevalue.portion_paid
-        value = op(args.k, args.n, args.rate)
-    else:
-        op = {
-            "compound": timevalue.compound_amount,
-            "reversion": timevalue.pv_reversion,
-            "annuity": timevalue.annuity_pv,
-            "amortize": timevalue.installment_to_amortize,
-            "accumulate": timevalue.accumulation,
-            "sff": timevalue.sinking_fund_factor,
-        }[fn]
-        value = op(args.rate, args.n)
-    return _emit(args.format, *_scalars({"factor": value}, places["rate"]))
+def _tvm(timevalue, args: argparse.Namespace) -> float:
+    op = getattr(timevalue, _TVM[args.function])
+    if args.function not in ("bal", "pp"):
+        return op(args.rate, args.n)
+    if args.k is None:
+        raise ValueError(f"tvm {args.function} requires --k")
+    return op(args.k, args.n, args.rate)
 
 
-def _cmd_amort(args: argparse.Namespace, places: dict[str, int]) -> int:
-    """Print a schedule and its main-theorem residual."""
-    from . import amortization
-
-    if args.kind == "level":
-        schedule = amortization.level_schedule(args.pv, args.i, args.n)
-    elif args.kind == "general":
-        schedule = amortization.generalized_schedule(_load_reductions_file(args.file), args.i)
-    else:
-        schedule = amortization.sinking_fund_schedule(args.v, args.i, args.r, args.n)
-    residual = amortization.verify_main_theorem(schedule)
-    return _emit(
-        args.format,
-        lambda: {**amortization.schedule_to_dict(schedule), "main_theorem_residual": residual},
-        lambda: amortization.schedule_to_table(schedule, places["money"]) + f"main theorem residual: {residual:.6e}\n",
-        lambda: amortization.schedule_to_csv(schedule) + f"# main_theorem_residual={residual:.6e}\n",
-    )
-
-
-def _cmd_caprate(args: argparse.Namespace, places: dict[str, int]) -> int:
-    from . import capitalization
-
-    method = args.method
-    if method == "band":
-        values = {"rate": capitalization.band_of_investment(args.m, args.i, args.y)}
-    elif method == "band-rm":
-        values = {"rate": capitalization.band_with_mortgage_constant(args.m, args.rm, args.y)}
-    elif method == "mortgage-constant":
-        values = {"rate": capitalization.mortgage_constant(args.i, args.months)}
-    elif method == "adjusted":
-        values = {"rate": capitalization.adjusted_cap_rate(args.i, args.n, args.delta0)}
-    elif method in ("ellwood", "ellwood-j"):
-        terms = capitalization.MortgageTerms(args.m, args.i, args.months, args.hold)
-        spec = capitalization.AppreciationSpec(args.delta0, getattr(args, "delta", 0.0))  # ellwood has no --delta
-        if method == "ellwood":
-            result = capitalization.ellwood_cap_rate(terms, args.y, spec)
-        else:
-            result = capitalization.ellwood_j_cap_rate(terms, args.y, spec, args.jn)
-        values = {
-            "rate": result.rate,
-            "c_factor": result.c_factor,
-            "mortgage_constant": result.mortgage_constant,
-            "portion_paid": result.portion_paid,
-            "sff": result.equity_sff,
-            "akerson_rate": result.akerson_rate,
-        }
-        if result.j_factor is not None:
-            values["j_factor"] = result.j_factor
-    else:
-        values = {"rate": capitalization.recovery_cap_rate(method, args.i, args.n, getattr(args, "is_rate", None))}
-    return _emit(args.format, *_scalars(values, places["rate"]))
+def _ellwood(capitalization, args: argparse.Namespace, cap_rate, *horizon) -> dict[str, float]:
+    """An Ellwood leaf's rate and breakdown; ellwood-j passes its J horizon."""
+    terms = capitalization.MortgageTerms(args.m, args.i, args.months, args.hold)
+    spec = capitalization.AppreciationSpec(args.delta0, getattr(args, "delta", 0.0))  # ellwood has no --delta
+    result = cap_rate(terms, args.y, spec, *horizon)
+    values = {
+        "rate": result.rate,
+        "c_factor": result.c_factor,
+        "mortgage_constant": result.mortgage_constant,
+        "portion_paid": result.portion_paid,
+        "sff": result.equity_sff,
+        "akerson_rate": result.akerson_rate,
+    }
+    if result.j_factor is not None:
+        values["j_factor"] = result.j_factor
+    return values
 
 
-def _cmd_value(args: argparse.Namespace, places: dict[str, int]) -> int:
-    from . import recurrence
-
-    form = args.form
-    if form == "recurrence":
-        spec = recurrence.RecurrenceSpec(args.m, args.b, args.c)
-        value = recurrence.value_recurrence_stream(spec, args.i, args.n)
-    elif form == "offset":
-        spec = recurrence.OffsetStreamSpec(
-            args.d, args.h, recurrence.RecurrenceSpec(args.m, args.b, args.c)
-        )
-        value = recurrence.value_offset_stream(spec, args.i, args.n)
-    elif form == "straight-line":
-        value = recurrence.straight_line_annuity_value(args.d, args.h, args.i, args.n)
-    elif form == "growth":
-        value = recurrence.constant_ratio_annuity_value(args.g, args.i, args.n)
-    elif form == "accumulation":
-        value = recurrence.accumulation_stream_value(args.i, args.n)
-    else:
-        value = recurrence.hoskold_stream_value(args.income, args.i, args.is_rate, args.n)
-    return _emit(args.format, *_scalars({"value": value}, places["money"]))
-
-
-def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
-    from . import projects
-
+def _irr(projects, args: argparse.Namespace) -> tuple:
+    """The report's arguments and its (table, csv, to_dict) renderers."""
     bounds = projects.DEFAULT_IRR_BOUNDS if args.bounds is None else args.bounds
     if len(bounds) != 2:
         raise ValueError("--bounds takes two comma-separated rates")
@@ -259,159 +227,138 @@ def _cmd_irr(args: argparse.Namespace, places: dict[str, int]) -> int:
     loaded = [_load_project_file(path) for path in args.files]
     if args.compare:
         report = (projects.compare_pairwise(*loaded, bounds), (0.10, 0.12) if args.npv_at is None else args.npv_at)
-        table, csv, to_dict = projects.comparison_table, projects.comparison_csv, projects.comparison_to_dict
-    else:
-        report = (loaded[0], projects.irr_all(loaded[0], bounds), args.npv_at or ())
-        table, csv, to_dict = projects.analysis_table, projects.analysis_csv, projects.analysis_to_dict
-    return _emit(args.format, lambda: to_dict(*report), lambda: table(*report), lambda: csv(*report))
+        return report, (projects.comparison_table, projects.comparison_csv, projects.comparison_to_dict)
+    report = (loaded[0], projects.irr_all(loaded[0], bounds), args.npv_at or ())
+    return report, (projects.analysis_table, projects.analysis_csv, projects.analysis_to_dict)
 
 
-# ---------------------------------------------------------------------------
-# parser assembly
+def _real(flag: str, help_text: str, **kwargs) -> tuple[str, dict]:
+    """A float option, required unless given a default."""
+    return flag, dict(type=_finite, required="default" not in kwargs, help=help_text, **kwargs)
 
 
-def _add_commands(parser: argparse.ArgumentParser, dest: str, fill, commands: dict[str, str]) -> None:
-    """Register each subcommand name -> help; fill(subparser, name) builds the one argparse selects."""
-    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Parser)
-    for name, help_text in commands.items():
-        sub.add_parser(name, help=help_text).fill = lambda p, name=name: fill(p, name)
+def _count(flag: str, help_text: str, **kwargs) -> tuple[str, dict]:
+    """An integer option, required unless given a default."""
+    return flag, dict(type=int, required="default" not in kwargs, help=help_text, **kwargs)
 
 
-def _add_common(p: argparse.ArgumentParser, precision: bool = True) -> None:
-    """The --format option every leaf subcommand takes, and --precision unless told not to."""
-    p.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="output format (default table)",
-    )
-    if precision:
-        p.add_argument(
-            "--precision", type=int, metavar="N", help="display decimals for every value (defaults: 2 money, 4 rates)"
-        )
+_FORMAT = ("--format", dict(choices=("table", "csv", "json"), default="table", help="output format (default table)"))
+_PRECISION = ("--precision", dict(
+    type=int, metavar="N", help="display decimals for every value (defaults: 2 money, 4 rates)"))
+_N = _count("--n", "number of periods")
+_LTV, _YIELD = _real("--m", "loan-to-value fraction"), _real("--y", "equity yield rate")
+_ELLWOOD = (
+    _LTV, _real("--i", "annual note rate"), _count("--months", "amortization term in months"),
+    _count("--hold", "holding period in years"), _YIELD,
+    _real("--delta0", "relative value change over the hold", default=0.0),
+)
+_MBC = (_real("--m", "multiplier"), _real("--b", "increment"), _real("--c", "seed value y_0"))
+_IS = _real("--is", "safe sinking fund rate", dest="is_rate")
+_STREAM = (_real("--i", "discount rate per period"), _N)
+_RECOVERY = (_real("--i", "discount rate"), _count("--n", "recovery horizon"))
 
 
-def _fill_command(p: argparse.ArgumentParser, command: str) -> None:
-    """A top-level subcommand's arguments, or the names of its own subcommands."""
-    if command == "tvm":
-        _add_common(p)
-        p.add_argument(
-            "function",
-            choices=("compound", "reversion", "annuity", "amortize", "accumulate", "sff", "bal", "pp"),
-        )
-        p.add_argument("--rate", type=_finite, required=True, help="rate per period, decimal fraction")
-        p.add_argument("--n", type=int, required=True, help="number of periods")
-        p.add_argument("--k", type=int, default=None, help="elapsed payments (bal and pp only)")
-    elif command == "amort":
-        _add_commands(p, "kind", _fill_amort, {
-            "level": "equal payments",
-            "general": "given principal reductions",
-            "sinking": "sinking-fund capital recovery",
-        })
-    elif command == "caprate":
-        _add_commands(p, "method", _fill_caprate, {
-            "band": "band of investment, interest-only debt",
-            "band-rm": "band of investment, amortizing debt",
-            "mortgage-constant": "annual debt service per unit loan",
-            "adjusted": "level income with value change",
-            "ellwood": "mortgage-equity rate, constant income",
-            "ellwood-j": "mortgage-equity rate, changing income",
-            "ring": "straight-line recovery rate",
-            "hoskold": "safe-rate recovery rate",
-            "annuity": "full-rate recovery: 1/a(n,i)",
-        })
-    elif command == "value":
-        _add_commands(p, "form", _fill_value, {
-            "recurrence": "stream y_k = m*y_(k-1) + b from seed c",
-            "offset": "stream d, d - y_1*h, d - y_2*h, ...",
-            "straight-line": "stream d, d-h, d-2h, ...",
-            "growth": "stream starting at 1 growing at ratio g",
-            "accumulation": "stream of accumulation factors s_1..s_n",
-            "hoskold": "safe-rate declining stream value",
-        })
-    else:  # irr
-        _add_common(p, precision=False)
-        p.add_argument("files", nargs="+", help="project JSON file(s): {\"name\": ..., \"cashflows\": [...]}")
-        p.add_argument("--compare", action="store_true", help="pairwise comparison of two projects")
-        p.add_argument(
-            "--npv-at", type=_finite_list, default=None, metavar="R1,R2,...", help="rates at which to report NPV"
-        )
-        p.add_argument(
-            "--bounds",
-            type=_finite_list,
-            default=None,
-            metavar="LO,HI",
-            help="search interval for every IRR and the --compare cutoff (default -0.999,10)",
-        )
+def _leaf(help_text: str, call, *options) -> dict:
+    """A leaf's help line, call(module, args), and its options after --format and --precision."""
+    return {"help": help_text, "call": call, "options": (_FORMAT, _PRECISION, *options)}
 
 
-def _fill_amort(p: argparse.ArgumentParser, kind: str) -> None:
-    _add_common(p)
-    if kind == "level":
-        p.add_argument("--pv", type=_finite, required=True, help="loan principal")
-        p.add_argument("--i", type=_finite, required=True, help="rate per period")
-        p.add_argument("--n", type=int, required=True, help="number of periods")
-    elif kind == "general":
-        p.add_argument("--file", required=True, help="JSON file with the principal reductions")
-        p.add_argument("--i", type=_finite, required=True, help="rate per period")
-    else:  # sinking
-        p.add_argument("--v", type=_finite, required=True, help="capital to recover")
-        p.add_argument("--i", type=_finite, required=True, help="discount rate per period")
-        p.add_argument("--r", type=_finite, required=True, help="sinking fund rate per period")
-        p.add_argument("--n", type=int, required=True, help="number of periods")
+def _command(help_text: str, module: str, render, dest: str, leaves: dict) -> dict:
+    """A command with leaves; dest names the chosen leaf in args and in usage errors."""
+    return {"help": help_text, "module": module, "render": render, "dest": dest, "leaves": leaves}
 
 
-def _fill_caprate(p: argparse.ArgumentParser, method: str) -> None:
-    _add_common(p)
-    if method in ("band", "band-rm"):
-        p.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
-        if method == "band":
-            p.add_argument("--i", type=_finite, required=True, help="mortgage interest rate")
-        else:
-            p.add_argument("--rm", type=_finite, required=True, help="annual mortgage constant")
-        p.add_argument("--y", type=_finite, required=True, help="equity yield rate")
-    elif method == "mortgage-constant":
-        p.add_argument("--i", type=_finite, required=True, help="annual note rate")
-        p.add_argument("--months", type=int, required=True, help="amortization term in months")
-    elif method in ("ellwood", "ellwood-j"):
-        p.add_argument("--m", type=_finite, required=True, help="loan-to-value fraction")
-        p.add_argument("--i", type=_finite, required=True, help="annual note rate")
-        p.add_argument("--months", type=int, required=True, help="amortization term in months")
-        p.add_argument("--hold", type=int, required=True, help="holding period in years")
-        p.add_argument("--y", type=_finite, required=True, help="equity yield rate")
-        p.add_argument("--delta0", type=_finite, default=0.0, help="relative value change over the hold")
-        if method == "ellwood-j":
-            p.add_argument("--delta", type=_finite, required=True, help="relative income change over the hold")
-            p.add_argument("--jn", type=int, default=None, help="horizon for the J factor (default: holding years)")
-    elif method == "adjusted":
-        p.add_argument("--i", type=_finite, required=True, help="discount rate")
-        p.add_argument("--n", type=int, required=True, help="horizon in periods")
-        p.add_argument("--delta0", type=_finite, required=True, help="relative value change")
-    else:  # ring, hoskold, annuity
-        p.add_argument("--i", type=_finite, required=True, help="discount rate")
-        if method == "hoskold":
-            p.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
-        p.add_argument("--n", type=int, required=True, help="recovery horizon")
+# Each command names its help, the propval module its calls take and the
+# renderer of their results. tvm and irr hold their own call and options.
+_TREE = {
+    "tvm": {"module": "timevalue", "render": _scalars("rate", "factor"), **_leaf(
+        "compound interest factor functions", _tvm, ("function", dict(choices=tuple(_TVM))),
+        _real("--rate", "rate per period, decimal fraction"), _N,
+        _count("--k", "elapsed payments (bal and pp only)", default=None))},
+    "amort": _command("amortization schedules", "amortization", _schedule, "kind", {
+        "level": _leaf(
+            "equal payments", lambda m, a: m.level_schedule(a.pv, a.i, a.n),
+            _real("--pv", "loan principal"), _real("--i", "rate per period"), _N),
+        "general": _leaf(
+            "given principal reductions", lambda m, a: m.generalized_schedule(_load_reductions_file(a.file), a.i),
+            ("--file", dict(required=True, help="JSON file with the principal reductions")),
+            _real("--i", "rate per period")),
+        "sinking": _leaf(
+            "sinking-fund capital recovery", lambda m, a: m.sinking_fund_schedule(a.v, a.i, a.r, a.n),
+            _real("--v", "capital to recover"), _real("--i", "discount rate per period"),
+            _real("--r", "sinking fund rate per period"), _N),
+    }),
+    "caprate": _command("direct capitalization rates", "capitalization", _scalars("rate", "rate"), "method", {
+        "band": _leaf(
+            "band of investment, interest-only debt", lambda m, a: m.band_of_investment(a.m, a.i, a.y),
+            _LTV, _real("--i", "mortgage interest rate"), _YIELD),
+        "band-rm": _leaf(
+            "band of investment, amortizing debt", lambda m, a: m.band_with_mortgage_constant(a.m, a.rm, a.y),
+            _LTV, _real("--rm", "annual mortgage constant"), _YIELD),
+        "mortgage-constant": _leaf(
+            "annual debt service per unit loan", lambda m, a: m.mortgage_constant(a.i, a.months),
+            _real("--i", "annual note rate"), _count("--months", "amortization term in months")),
+        "adjusted": _leaf(
+            "level income with value change", lambda m, a: m.adjusted_cap_rate(a.i, a.n, a.delta0),
+            _real("--i", "discount rate"), _count("--n", "horizon in periods"),
+            _real("--delta0", "relative value change")),
+        "ellwood": _leaf(
+            "mortgage-equity rate, constant income", lambda m, a: _ellwood(m, a, m.ellwood_cap_rate), *_ELLWOOD),
+        "ellwood-j": _leaf(
+            "mortgage-equity rate, changing income", lambda m, a: _ellwood(m, a, m.ellwood_j_cap_rate, a.jn),
+            *_ELLWOOD, _real("--delta", "relative income change over the hold"),
+            _count("--jn", "horizon for the J factor (default: holding years)", default=None)),
+        "ring": _leaf("straight-line recovery rate", lambda m, a: m.recovery_cap_rate("ring", a.i, a.n), *_RECOVERY),
+        "hoskold": _leaf(
+            "safe-rate recovery rate", lambda m, a: m.recovery_cap_rate("hoskold", a.i, a.n, a.is_rate),
+            _RECOVERY[0], _IS, _RECOVERY[1]),
+        "annuity": _leaf(
+            "full-rate recovery: 1/a(n,i)", lambda m, a: m.recovery_cap_rate("annuity", a.i, a.n), *_RECOVERY),
+    }),
+    "value": _command("present value of changing income streams", "recurrence", _scalars("money", "value"), "form", {
+        "recurrence": _leaf(
+            "stream y_k = m*y_(k-1) + b from seed c",
+            lambda m, a: m.value_recurrence_stream(m.RecurrenceSpec(a.m, a.b, a.c), a.i, a.n), *_MBC, *_STREAM),
+        "offset": _leaf(
+            "stream d, d - y_1*h, d - y_2*h, ...",
+            lambda m, a: m.value_offset_stream(
+                m.OffsetStreamSpec(a.d, a.h, m.RecurrenceSpec(a.m, a.b, a.c)), a.i, a.n),
+            _real("--d", "first-period income"), _real("--h", "decrement scale on the generated terms"),
+            *_MBC, *_STREAM),
+        "straight-line": _leaf(
+            "stream d, d-h, d-2h, ...", lambda m, a: m.straight_line_annuity_value(a.d, a.h, a.i, a.n),
+            _real("--d", "first-period income"), _real("--h", "constant decline per period (negative rises)"),
+            *_STREAM),
+        "growth": _leaf(
+            "stream starting at 1 growing at ratio g", lambda m, a: m.constant_ratio_annuity_value(a.g, a.i, a.n),
+            _real("--g", "growth rate per period"), *_STREAM),
+        "accumulation": _leaf(
+            "stream of accumulation factors s_1..s_n", lambda m, a: m.accumulation_stream_value(a.i, a.n), *_STREAM),
+        "hoskold": _leaf(
+            "safe-rate declining stream value", lambda m, a: m.hoskold_stream_value(a.income, a.i, a.is_rate, a.n),
+            _real("--income", "first-year income"), _IS, *_STREAM),
+    }),
+    "irr": {"help": "NPV / IRR project analysis", "module": "projects", "render": _report, "call": _irr, "options": (
+        _FORMAT,
+        ("files", dict(nargs="+", help='project JSON file(s): {"name": ..., "cashflows": [...]}')),
+        ("--compare", dict(action="store_true", help="pairwise comparison of two projects")),
+        ("--npv-at", dict(type=_finite_list, metavar="R1,R2,...", help="rates at which to report NPV")),
+        ("--bounds", dict(
+            type=_finite_list, metavar="LO,HI",
+            help="search interval for every IRR and the --compare cutoff (default -0.999,10)")),
+    )},
+}
 
 
-def _fill_value(p: argparse.ArgumentParser, form: str) -> None:
-    _add_common(p)
-    if form in ("offset", "straight-line"):
-        p.add_argument("--d", type=_finite, required=True, help="first-period income")
-        if form == "offset":
-            p.add_argument("--h", type=_finite, required=True, help="decrement scale on the generated terms")
-        else:
-            p.add_argument("--h", type=_finite, required=True, help="constant decline per period (negative rises)")
-    if form in ("recurrence", "offset"):
-        for flag, hint in (("--m", "multiplier"), ("--b", "increment"), ("--c", "seed value y_0")):
-            p.add_argument(flag, type=_finite, required=True, help=hint)
-    elif form == "growth":
-        p.add_argument("--g", type=_finite, required=True, help="growth rate per period")
-    elif form == "hoskold":
-        p.add_argument("--income", type=_finite, required=True, help="first-year income")
-        p.add_argument("--is", dest="is_rate", type=_finite, required=True, help="safe sinking fund rate")
-    p.add_argument("--i", type=_finite, required=True, help="discount rate per period")
-    p.add_argument("--n", type=int, required=True, help="number of periods")
+def _fill(parser: argparse.ArgumentParser, node: dict) -> None:
+    """Add a node's options, or register its leaves, each filled the first time argparse selects it."""
+    if "leaves" not in node:
+        for flag, kwargs in node["options"]:
+            parser.add_argument(flag, **kwargs)
+        return
+    sub = parser.add_subparsers(dest=node["dest"], required=True, parser_class=_Parser)
+    for name, child in node["leaves"].items():
+        sub.add_parser(name, help=child["help"]).fill = lambda p, child=child: _fill(p, child)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,17 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Income-property valuation calculations.",
         allow_abbrev=False,
     )
-    _add_commands(parser, "command", _fill_command, {
-        "tvm": "compound interest factor functions",
-        "amort": "amortization schedules",
-        "caprate": "direct capitalization rates",
-        "value": "present value of changing income streams",
-        "irr": "NPV / IRR project analysis",
-    })
+    _fill(parser, {"dest": "command", "leaves": _TREE})
     return parser
 
 
-_HANDLERS = {"tvm": _cmd_tvm, "amort": _cmd_amort, "caprate": _cmd_caprate, "value": _cmd_value, "irr": _cmd_irr}
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the chosen leaf's call on its command's module and render the result."""
+    command = _TREE[args.command]
+    leaf = command["leaves"][getattr(args, command["dest"])] if "leaves" in command else command
+    places = _places_from(args)
+    module = import_module(f"propval.{command['module']}")
+    return command["render"](module, leaf["call"](module, args), args.format, places)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args, _places_from(args))
+        return _dispatch(args)
     except InputFileError as exc:
         print(f"propval: error: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,10 @@ class Project(record("Project", "name cashflows")):
         if type(cashflows) is tuple and {*map(type, cashflows)} == {float}:
             flows = cashflows
         else:
-            flows = tuple(map(float, cashflows))
+            try:
+                flows = tuple(map(float, cashflows))
+            except OverflowError:  # an integer beyond the double range
+                raise ValueError("cash flows must be finite") from None
         if len(flows) < 2:
             raise ValueError("a project needs at least two cash flows")
         if not all(map(math.isfinite, flows)):

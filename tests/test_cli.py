@@ -159,7 +159,15 @@ class TestAmort:
         assert code == 2
         assert "principal reductions" in err
 
-    @pytest.mark.parametrize("text", ["[1e400, 100]", "[100, NaN]", '{"principal_reductions": [-Infinity, 1]}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1e400, 100]",
+            "[100, NaN]",
+            '{"principal_reductions": [-Infinity, 1]}',
+            pytest.param("[1" + "0" * 400 + ", 100]", id="int-beyond-double-range"),
+        ],
+    )
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_non_finite_reduction_is_input_error(self, run, tmp_path, text, fmt):
         # exit 2, as a non-finite cash flow in an irr project file does
@@ -345,6 +353,16 @@ class TestIrrCommand:
         assert code == 2
         assert "nonzero" in err
 
+    @pytest.mark.parametrize("flow", ["-1e400", pytest.param("-1" + "0" * 400, id="int-beyond-double-range")])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_non_finite_cash_flow_is_input_error(self, run, tmp_path, flow, fmt):
+        # a JSON integer beyond the double range is not finite either
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "P", "cashflows": [%s, 100]}' % flow)
+        code, out, err = run("irr", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"propval: error: {path}: cash flows must be finite\n"
+
     def test_compare_needs_two_files(self, run, project_files):
         code, _, err = run("irr", project_files["A"], "--compare")
         assert code == 1
@@ -521,7 +539,10 @@ class TestEachCallRendersOnce:
             raise AssertionError("a JSON payload was built")
 
         for module, name in (
-            (amortization, "schedule_to_dict"), (projects, "analysis_to_dict"), (projects, "comparison_to_dict")
+            (amortization, "schedule_to_dict"),
+            (amortization, "schedule_to_json"),
+            (projects, "analysis_to_dict"),
+            (projects, "comparison_to_dict"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         reductions = tmp_path / "reductions.json"
@@ -634,8 +655,11 @@ NEVER_LOADED = {"dataclasses", "inspect"}
             {"propval.projects", "propval.amortization", "propval.capitalization", "json"},
         ),
         (["irr", "PROJECT", "--npv-at", "0.1"], {"propval.amortization"}),
+        # the schedule's JSON rows print through a template, and its residual is appended to them
+        (["amort", "sinking", "--v", "1000", "--i", "0.1", "--r", "0.05", "--n", "5", "--format", "json"],
+         {"decimal", "json", "propval.projects"}),
     ],
-    ids=["tvm", "amort-level-table", "caprate-ellwood-j", "value-offset", "irr"],
+    ids=["tvm", "amort-level-table", "caprate-ellwood-j", "value-offset", "irr", "amort-sinking-json"],
 )
 def test_cli_call_loads_only_what_it_uses(tmp_path, argv, unloaded):
     project = tmp_path / "A.json"

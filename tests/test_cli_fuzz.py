@@ -82,15 +82,17 @@ def _options(*required, **optional):
 
 
 def _leaf(head, tail, kind=None, precision=True):
-    """(argv without --format, kind of the values printed) for one leaf;
-    kind is 'rate' or 'money' where the output is named scalars. irr, which
-    takes no --precision, passes precision=False."""
+    """head, and a strategy of (argv without --format, kind of the values
+    printed) for the leaf it names; kind is 'rate' or 'money' where the
+    output is named scalars. irr, which takes no --precision, passes
+    precision=False."""
     places = st.integers(-1, 13).map(lambda p: [f"--precision={p}"]) if precision else st.nothing()
-    return st.tuples(st.just(head), tail, st.one_of(st.just([]), places)).map(lambda t: (t[0] + t[1] + t[2], kind))
+    argv = st.tuples(st.just(head), tail, st.one_of(st.just([]), places)).map(lambda t: t[0] + t[1] + t[2])
+    return head, argv.map(lambda args: (args, kind))
 
 
 ELLWOOD = [("m", FRACTION), ("i", RATE), ("months", PERIODS), ("hold", HOLD), ("y", RATE)]
-# one strategy per leaf subcommand
+# (head, strategy) per leaf subcommand
 LEAVES = (
     *(
         _leaf(["tvm", fn], _options(("rate", RATE), ("n", PERIODS), k=st.integers(-1, 400)), "rate")
@@ -171,7 +173,7 @@ def _assert_cells_agree(outputs, places):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(cases=st.tuples(*LEAVES))
+@given(cases=st.tuples(*(strategy for _, strategy in LEAVES)))
 @example(cases=[(ELLWOOD_J_TINY_YIELD, "rate")])
 @example(cases=[(HUGE_NPV_RATE, None)])
 def test_every_leaf_keeps_the_error_contract(tmp_path, capsys, cases):

@@ -19,7 +19,8 @@ from unittest import mock
 
 import pytest
 
-from propval.cli import main
+from propval.cli import _TREE, main
+from test_cli_fuzz import LEAVES
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "csv", "json")
@@ -118,6 +119,28 @@ def test_golden_output(case, fmt):
 def test_help_and_usage(case):
     expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert invoke(PARSER_CASES[case]) == expected
+
+
+def _tree_leaves():
+    """(parser path, argv head) of every leaf of the CLI's command tree; each
+    choice of a positional, such as tvm's function, is a leaf of its own."""
+    for command, node in _TREE.items():
+        for name, leaf in node.get("leaves", {None: node}).items():
+            path = [command] if name is None else [command, name]
+            positionals = [kwargs for flag, kwargs in leaf["options"] if not flag.startswith("-")]
+            choices = [kwargs["choices"] for kwargs in positionals if "choices" in kwargs]
+            for choice in choices[0] if choices else [None]:
+                yield path, path if choice is None else path + [choice]
+
+
+def test_every_leaf_has_goldens_and_a_fuzzer():
+    fuzzed = [head for head, _ in LEAVES]
+    leaves = list(_tree_leaves())
+    assert len(leaves) >= 27  # the walk finds every leaf there is today
+    for path, head in leaves:
+        assert path in HELP_CASES.values(), f"no help golden for {path}"
+        assert any(argv[: len(head)] == head for argv in CASES.values()), f"no output golden for {head}"
+        assert head in fuzzed, f"no fuzzer strategy for {head}"
 
 
 if __name__ == "__main__":

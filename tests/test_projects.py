@@ -411,6 +411,8 @@ class TestIngestionAndReports:
             project_from_dict({"name": "", "cashflows": [1, 2]})
         with pytest.raises(ValueError):
             project_from_dict([1, 2])
+        with pytest.raises(ValueError, match="cash flows must be finite"):
+            project_from_dict({"name": "x", "cashflows": [-(10**400), 1]})  # beyond the double range
 
     def test_comparison_table_frozen(self, project_a, project_b):
         report = compare_pairwise(project_a, project_b)

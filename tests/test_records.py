@@ -128,6 +128,7 @@ INVALID = [
     (Project, {"cashflows": (1.0,)}, "at least two cash flows"),
     (Project, {"cashflows": (-1.0, NAN)}, "cash flows must be finite"),
     (Project, {"cashflows": (-1.0, INF, 1.0)}, "cash flows must be finite"),
+    (Project, {"cashflows": (-(10**400), 1.0)}, "cash flows must be finite"),  # an integer beyond the double range
     (MortgageTerms, {"loan_to_value": 5.0}, "loan_to_value must be in"),
     (MortgageTerms, {"loan_to_value": -0.1}, "loan_to_value must be in"),
     (MortgageTerms, {"annual_rate": NAN}, "annual_rate must be greater than -1 and finite, got nan"),
