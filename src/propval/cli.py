@@ -375,7 +375,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     """Run the chosen leaf's call on its command's module and render the result."""
     command = _TREE[args.command]
     leaf = command["leaves"][getattr(args, command["dest"])] if "leaves" in command else command
-    places = _places_from(args)
+    places = _places_from(args)  # a bad --precision is reported before any input file is read
     module = import_module(f"propval.{command['module']}")
     return command["render"](module, leaf["call"](module, args), args.format, places)
 

@@ -152,6 +152,11 @@ class TestAmort:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_precision_is_checked_before_the_file_is_read(self, run, tmp_path):
+        argv = ("amort", "general", "--file", str(tmp_path / "nope.json"), "--i", "0.1", "--precision", "13")
+        code, out, err = run(*argv)
+        assert (code, out, err) == (1, "", "propval: error: --precision must be in 0..12, got 13\n")
+
     def test_wrong_schema_is_input_error(self, run, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"rows": [1, 2]}')
