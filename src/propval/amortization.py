@@ -80,7 +80,10 @@ def generalized_schedule(principal_reductions: list[float], rate: float) -> Amor
     Negative entries are allowed (the balance rises that period and the
     schedule flags it via negative_amortization_periods).
     """
-    reductions = [float(p) for p in principal_reductions]
+    try:
+        reductions = [float(p) for p in principal_reductions]
+    except OverflowError:  # an integer beyond the double range
+        raise ValueError("principal reductions must be finite") from None
     if not reductions:
         raise ValueError("need at least one principal reduction")
     if not all(math.isfinite(p) for p in reductions):

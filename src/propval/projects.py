@@ -1,9 +1,9 @@
 """Cash-flow project analysis: NPV, all-root IRR search, and comparison.
 
-A project is a dated cash-flow vector starting at time zero. NPV is the
-plain discounted sum. The IRR search treats NPV as a polynomial in
-w = 1/(1+r) and isolates its roots on two charts that keep every power of
-the variable at most 1: w itself for r >= 0, and 1+r (coefficients
+A project is a dated cash-flow vector starting at time zero. NPV is a
+polynomial in w = 1/(1+r), evaluated by Horner's rule at every rate. The
+IRR search isolates its roots on two charts that keep every power of the
+variable at most 1: w itself for r >= 0, and 1+r (coefficients
 reversed) for r < 0. Flows with at most one Descartes sign change have at
 most one IRR and need one bracketed solve; other flows are bisected until
 enclosures of the NPV and its slope prove each piece holds no root or at
@@ -120,15 +120,10 @@ class ComparisonReport(
 
 
 def npv(project: Project, rate: float) -> float:
-    """Net present value at the given rate: sum of C_t / (1+r)^t, skipping zero
-    flows (0 times an overflowed factor is nan); a non-finite total raises OverflowError."""
+    """Net present value at the given rate: sum of C_t w^t with w = 1/(1+r),
+    by Horner's rule; a non-finite total raises OverflowError."""
     rate = _check_real(rate, "rate", _RATE)
-    factor = 1.0
-    total = project.cashflows[0]
-    for flow in project.cashflows[1:]:
-        factor /= 1.0 + rate
-        if flow:
-            total += flow * factor
+    total = _horner(project.cashflows[::-1], 1.0 / (1.0 + rate))[0]
     if not math.isfinite(total):
         raise OverflowError("npv: result is out of floating-point range")
     return total
@@ -444,8 +439,13 @@ def analysis_to_dict(
             "classification": result.classification,
             "search_bounds": list(result.search_bounds),
         },
-        "npv": {_rate_text(r): npv(project, r) for r in map(float, npv_rates)},
+        "npv": {_rate_text(r): npv(project, r) for r in _rates(npv_rates)},
     }
+
+
+def _rates(npv_rates) -> list[float]:
+    """The rates as npv reads them, checked once, so that labels format floats."""
+    return [_check_real(r, "rate", _RATE) for r in npv_rates]
 
 
 def _rate_text(rate: float) -> str:
@@ -460,7 +460,7 @@ def _project_rows(entries, npv_rates, csv: bool) -> list[list[str]]:
     rate. Table cells show the IRRs as percentages, or "none"; CSV cells
     join them in percent by ';' and add the classification. Every NPV is
     computed before any cell is formatted."""
-    npv_rates = list(map(float, npv_rates))  # as npv reads them, so that the labels format floats
+    npv_rates = _rates(npv_rates)
     npvs = [[npv(project, r) for r in npv_rates] for project, _ in entries]
     periods = range(max(len(p.cashflows) for p, _ in entries))
     if csv:

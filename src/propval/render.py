@@ -71,7 +71,7 @@ def format_fixed(value: float, places: int) -> str:
     # the range and tie tests do not depend on the sign of value
     try:
         scaled = value * _POW10[places]
-    except TypeError:  # not a number, such as a numeric string: read as float() reads it
+    except (TypeError, OverflowError):  # a numeric string, or an int past the double range: as float() reads it
         value = _check_real(value, "value")
         scaled = value * _POW10[places]
     if _SCALED_LOW < scaled < _SCALED_HIGH and _TIE_LOW < scaled - (scaled + _RINT - _RINT) < _TIE_HIGH:
@@ -103,7 +103,7 @@ def format_percent(rate: float, places: int = 2) -> str:
     """
     try:
         percent = rate * 100.0
-    except TypeError:  # not a number, such as a numeric string: read as float() reads it
+    except (TypeError, OverflowError):  # a numeric string, or an int past the double range: as float() reads it
         rate = _check_real(rate, "rate")
         percent = rate * 100.0
     if not isfinite(percent):

@@ -18,7 +18,8 @@ check raises ValueError("<name> must be <range>, got <value>"):
 
 - _check_real(value, name, bounds) returns float(value) for a value in
   one of the ranges defined below ("rate must be greater than -1 and
-  finite, got nan");
+  finite, got nan"); an integer beyond the double range is named as
+  such, not by its digits;
 - _check_periods(n, name, minimum=1, maximum=None) returns an integer
   count (12.0 counts as 12; True, 2.5, nan and inf do not): a period count
   is >= 1, a payment index k >= 0, and decimal places are in 0..12 ("n
@@ -55,7 +56,10 @@ _CHANGE = (-1.0, _MAX, ">= -1 and finite")  # change in resale value; -1 wastes 
 
 
 def _check_real(value: float, name: str, bounds: tuple = _FINITE) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the double range, whose digits may not even print
+        raise ValueError(f"{name} must be {bounds[2]}, got an integer beyond the double range") from None
     if bounds[0] <= value <= bounds[1]:
         return value
     raise ValueError(f"{name} must be {bounds[2]}, got {value!r}")

@@ -48,7 +48,9 @@ def stream_pv(values, rate: float) -> float:
 
 
 def npv_oracle(cashflows, rate: float) -> float:
-    """Discounted sum with cashflows[0] at time zero."""
+    """Discounted sum with cashflows[0] at time zero, dividing a running
+    discount factor each period: a float loop independent of npv, which
+    evaluates the sum by Horner's rule in w = 1/(1+r)."""
     total, factor = float(cashflows[0]), 1.0
     for flow in cashflows[1:]:
         factor /= 1.0 + rate

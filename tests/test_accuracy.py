@@ -207,14 +207,17 @@ def test_generalized_schedule(reductions, rate):
     assert_rows_within(schedule, generalized_schedule_exact(reductions, rate), BOUND * scale)
 
 
-# npv: Higham's bound for a sum of products (Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., 3.1 and 5.1). The loop's discount factor
-# after t periods carries 2t roundings (1 + r once, each division once), the
-# product one more, and the running sum n - t + 1 more, so with n periods
-# |npv - exact| <= gamma(2n + 2) * sum |C_t| (1 + r)^-t, where gamma(k) =
-# k u / (1 - k u) and u is the unit roundoff. Rates and amounts keep every
-# factor and product normal, where that bound holds. oracles.npv_oracle runs
-# the same float loop as npv, so it cannot serve as the exact sum here.
+# npv: Higham's bounds for Horner's rule (Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 3.1 and 5.1). npv evaluates sum C_t w^t by
+# Horner's rule at the rounded w = 1/(1 + r), which carries two roundings
+# (1 + r once, the division once), so w^t carries 2t, and Horner's rule adds
+# up to 2n more to each term. With n periods that proves |npv - exact| <=
+# gamma(4n) * sum |C_t| (1 + r)^-t, where gamma(k) = k u / (1 - k u) and u
+# is the unit roundoff. The test asserts the tighter gamma(2n + 2), the
+# bound of a loop that divides a running discount factor each period; every
+# draw measured so far meets it. Rates and amounts keep every power and product normal,
+# where these bounds hold. oracles.npv_oracle rounds too, so it cannot
+# serve as the exact sum here.
 UNIT_ROUNDOFF = Fraction(sys.float_info.epsilon) / 2
 FLOWS = st.lists(AMOUNTS, min_size=2, max_size=121)
 
@@ -223,6 +226,9 @@ FLOWS = st.lists(AMOUNTS, min_size=2, max_size=121)
 @given(FLOWS, RATES)
 @example([-1e3] + [1e3 * (1 - 1e-15)] * 120, 1e-15)
 @example([1e3, -1e3] * 60 + [1e3], 1.0)
+# at -99.9% w^t passes the double range near t = 103, a power Horner's rule never forms
+@example([-1.0] + [0.0] * 120 + [1e-300], -0.999)
+@example([-1.0, 2.0] + [0.0] * 120, -0.999)
 def test_npv(flows, rate):
     n = len(flows) - 1
     discount = 1 / (1 + Fraction(rate))

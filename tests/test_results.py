@@ -22,8 +22,9 @@ PYTHONPATH=src python tests/test_results.py
 To compare this checkout's results with those of another revision, call by
 call, run
 PYTHONPATH=src python tests/test_results.py --against REV [--calls N]
-It checks REV out into a temporary git worktree and runs N seeded calls per
-case (default 10,000) in one child process per tree. Both children import
+It extracts REV's src with git archive into a temporary directory, leaving
+the repository's .git untouched, and runs N seeded calls per case
+(default 10,000) in one child process per tree. Both children import
 this checkout's tests, so they draw the same arguments, and each imports
 its own tree's src. It prints every call whose outcome differs (at most
 MAX_SHOWN per case, then a count) and exits 1 if any does.
@@ -32,11 +33,13 @@ MAX_SHOWN per case, then a count) and exits 1 if any does.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tarfile
 import tempfile
 from itertools import groupby
 from pathlib import Path
@@ -188,7 +191,8 @@ def against(revision: str, calls: int) -> int:
     repo = tests.parent
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "tree"
-        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", "--quiet", str(tree), revision], check=True)
+        archive = subprocess.run(["git", "-C", str(repo), "archive", revision, "src"], check=True, stdout=subprocess.PIPE)
+        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(tree, filter="data")
         children = []
         try:
             for src in (tree / "src", repo / "src"):
@@ -214,7 +218,6 @@ def against(revision: str, calls: int) -> int:
             for child in children:
                 child.kill()
                 child.wait()
-            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(tree)], check=True)
     print(f"{differing} differing calls in {calls} seeded calls per case, {len(CASES)} cases, against {revision}")
     return 1 if differing else 0
 
