@@ -215,9 +215,9 @@ def test_generalized_schedule(reductions, rate):
 # gamma(4n) * sum |C_t| (1 + r)^-t, where gamma(k) = k u / (1 - k u) and u
 # is the unit roundoff. The test asserts the tighter gamma(2n + 2), the
 # bound of a loop that divides a running discount factor each period; every
-# draw measured so far meets it. Rates and amounts keep every power and product normal,
-# where these bounds hold. oracles.npv_oracle rounds too, so it cannot
-# serve as the exact sum here.
+# draw measured so far meets it. Rates and amounts keep every product and
+# partial sum normal, where these bounds hold. oracles.npv_oracle rounds
+# too, so it cannot serve as the exact sum here.
 UNIT_ROUNDOFF = Fraction(sys.float_info.epsilon) / 2
 FLOWS = st.lists(AMOUNTS, min_size=2, max_size=121)
 
