@@ -101,29 +101,26 @@ def format_percent(rate: float, places: int = 2) -> str:
     A finite rate whose percent overflows a double (above ~1.8e306) is
     scaled on its decimal digits instead.
     """
-    try:
-        percent = rate * 100.0
-    except (TypeError, OverflowError):  # a numeric string, or an int past the double range: as float() reads it
-        rate = _check_real(rate, "rate")
-        percent = rate * 100.0
+    rate = _check_real(rate, "rate")
+    percent = rate * 100.0
     if not isfinite(percent):
         places = _check_periods(places, "places", 0, MAX_PLACES)
-        return _format_decimal(_check_real(rate, "rate"), places, scale=2) + "%"
+        return _format_decimal(rate, places, scale=2) + "%"
     return format_fixed(percent, places) + "%"
 
 
 def align_table(rows: list[list[str]]) -> str:
-    """Left-aligned columns padded to the widest cell, two-space gutters; ragged rows raise ValueError."""
+    """Left-aligned columns, two-space gutters; ragged rows raise ValueError.
+
+    Each column but the last is padded to its widest cell, and every line
+    is stripped of trailing blanks, so the last column is never padded.
+    """
     columns = list(zip(*rows, strict=True))
-    specs = [f"%-{max(map(len, column))}s" for column in columns]
-    # with no column at all, each row prints as an empty line
-    cells = zip(*columns) if columns else [()] * len(rows)
-    if columns and all(last := columns[-1]) and last == tuple(map(str.rstrip, last)):
-        # every last cell ends in a non-blank, so rstrip would take only the
-        # last column's padding: leave it unpadded instead
-        specs[-1] = "%s"
-        return "\n".join(map("  ".join(specs).__mod__, cells)) + "\n"
-    line = "  ".join(specs)
+    if columns:
+        line = "  ".join([f"%-{max(map(len, column))}s" for column in columns[:-1]] + ["%s"])
+        cells = zip(*columns)
+    else:  # no column at all: each row prints as an empty line
+        line, cells = "", [()] * len(rows)
     return "\n".join([(line % row).rstrip() for row in cells]) + "\n"
 
 

@@ -127,6 +127,32 @@ def _annuity_exact(rate: Fraction, n: int) -> Fraction:
     return (1 - growth**-n) / rate
 
 
+def _annuity_or_count(rate: Fraction, n: int) -> Fraction:
+    return Fraction(n) if rate == 0 else _annuity_exact(rate, n)
+
+
+def ellwood_rate_exact(loan_to_value, annual_rate, months: int, hold: int, equity_yield, asset_change):
+    """Mortgage-equity cap rate R and its scale S, in exact rationals from
+    the same doubles.
+
+    At V = I/R the equity's NPV at Y is zero,
+    -(1-M)V + sum (I - M Rm V) v^t + ((1+change)V - M bal V) v^H = 0 over
+    t = 1..H, so R = M Rm + [(1-M) - (1+change-M bal) v^H] / a(H, Y).
+    Rm = 12 / a(months, i) and bal = a(months - 12H, i) / a(months, i) are
+    those of the monthly loan at i = annual_rate / 12. The scale is
+    S = (1-M)|Y| + M Rm + (|change| + M P) SFF(H, Y), with P = 1 - bal and
+    SFF = v^H / a(H, Y).
+    """
+    m, y, change = Fraction(loan_to_value), Fraction(equity_yield), Fraction(asset_change)
+    monthly = Fraction(annual_rate) / 12
+    loan_annuity = _annuity_or_count(monthly, months)
+    r_m, bal = 12 / loan_annuity, _annuity_or_count(monthly, months - 12 * hold) / loan_annuity
+    hold_annuity, v_h = _annuity_or_count(y, hold), (1 + y) ** -hold
+    rate = m * r_m + ((1 - m) - (1 + change - m * bal) * v_h) / hold_annuity
+    scale = (1 - m) * abs(y) + m * r_m + (abs(change) + m * (1 - bal)) * v_h / hold_annuity
+    return rate, scale
+
+
 def bal_form2_exact(k: int, n: int, rate: float) -> float:
     """(1+i)^k * (1 - a(k)/a(n)) in exact rational arithmetic.
 

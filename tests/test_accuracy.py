@@ -1,5 +1,6 @@
 """Accuracy of the factor and changing-income forms, gaps down to 0 included,
-of every row of the three schedules, and of npv.
+of every row of the three schedules, of npv, and of the mortgage-equity
+(Ellwood and Akerson) cap rate.
 
 Each closed form is compared with an exact Fraction sum of its stream
 (tests/oracles.py) and must satisfy |computed - exact| <= BOUND * scale.
@@ -22,6 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propval import (
+    AppreciationSpec,
+    MortgageTerms,
     OffsetStreamSpec,
     Project,
     RecurrenceSpec,
@@ -31,6 +34,7 @@ from propval import (
     balance_fraction,
     compound_amount,
     constant_ratio_annuity_value,
+    ellwood_cap_rate,
     ellwood_j_factor,
     generalized_schedule,
     installment_to_amortize,
@@ -49,6 +53,7 @@ from propval import (
 from oracles import (
     assert_rows_within,
     ellwood_j_exact,
+    ellwood_rate_exact,
     generalized_schedule_exact,
     level_schedule_exact,
     offset_pv_exact,
@@ -236,3 +241,25 @@ def test_npv(flows, rate):
     scale = sum(abs(Fraction(c)) * discount**t for t, c in enumerate(flows))
     gamma = (2 * n + 2) * UNIT_ROUNDOFF / (1 - (2 * n + 2) * UNIT_ROUNDOFF)
     assert abs(Fraction(npv(Project("p", flows), rate)) - exact) <= gamma * scale
+
+
+# The mortgage-equity cap rate R against the exact R of the equity-NPV
+# identity (oracles.ellwood_rate_exact), at the scale
+# S = (1-M)|Y| + M Rm + (|change| + M P) SFF of its terms: relative to |R|
+# itself the error grows where the terms cancel to a small R. Loan-to-value
+# at the usual ratios, 0 and 1 or uniform in [0, 1]; note rates 0 or in
+# [-0.05, 0.25] over 120..360 months, held 1..months // 12 years; equity
+# yields 0, in [-0.5, 1] or within 1e-6 of 0; resale changes in [-1, 2].
+LOAN_TO_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 0.7, 0.9, 1.0]), st.floats(0.0, 1.0))
+NOTE_RATES = st.one_of(st.just(0.0), st.floats(-0.05, 0.25))
+EQUITY_YIELDS = st.one_of(st.just(0.0), st.floats(-0.5, 1.0), st.floats(-1e-6, 1e-6))
+
+
+@EXAMPLES
+@given(st.data(), LOAN_TO_VALUES, NOTE_RATES, st.integers(120, 360), EQUITY_YIELDS, st.floats(-1.0, 2.0))
+def test_ellwood_cap_rate(data, m, note_rate, months, equity_yield, change):
+    hold = data.draw(st.integers(1, months // 12))
+    result = ellwood_cap_rate(MortgageTerms(m, note_rate, months, hold), equity_yield, AppreciationSpec(change))
+    exact, scale = ellwood_rate_exact(m, note_rate, months, hold, equity_yield, change)
+    _assert_within(result.rate, exact, scale)
+    _assert_within(result.akerson_rate, exact, scale)

@@ -266,6 +266,12 @@ class TestEllwoodJCapRate:
         direct = equity + reversion + terms.loan_to_value * value
         assert abs(value - direct) < 1e-8 * value
 
+    def test_income_change_that_cancels_j_is_rejected(self):
+        # J = 1 at Y = 0 over one year, so 1 + delta * J = 0 at delta = -1
+        spec = AppreciationSpec(asset_change=0.0, income_change=-1.0)
+        with pytest.raises(ValueError, match="^income change cancels the J adjustment; rate undefined$"):
+            ellwood_j_cap_rate(MortgageTerms(0.7, 0.09, 300, 1), 0.0, spec)
+
 
 class TestRecoveryMethods:
     def test_ring(self):

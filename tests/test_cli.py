@@ -182,6 +182,14 @@ class TestAmort:
         assert (code, out) == (2, "")
         assert err == f"propval: error: {path}: principal reductions must be finite\n"
 
+    @pytest.mark.parametrize("text", ["[true, 1]", '["1", 2]'], ids=["bool", "string"])
+    def test_non_numeric_reduction_is_input_error(self, run, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run("amort", "general", "--file", str(path), "--i", "0.1")
+        assert (code, out) == (2, "")
+        assert err == f"propval: error: {path}: principal reductions must all be numbers\n"
+
 
 class TestCaprate:
     def test_band_scalar(self, run):
@@ -229,6 +237,14 @@ class TestCaprate:
         )
         # rising income deflates the constant-income rate by 1 + delta*J
         assert data["rate"] == plain.rate / (1 + 0.2 * data["j_factor"])
+
+    def test_ellwood_j_income_change_that_cancels_j_is_error(self, run):
+        code, out, err = run(
+            "caprate", "ellwood-j", "--m", "0.7", "--i", "0.09", "--months", "300",
+            "--hold", "1", "--y", "0", "--delta", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "propval: error: income change cancels the J adjustment; rate undefined\n"
 
     def test_hoskold_cap_rate(self, run):
         code, out, _ = run("caprate", "hoskold", "--i", "0.10", "--is", "0.05", "--n", "10", "--format", "csv")

@@ -306,6 +306,14 @@ class TestProfitability:
     def test_multiple_roots_inapplicable(self, project_d):
         assert profitability_test(project_d, 0.10) == "inapplicable"
 
+    def test_irr_outside_bounds_inapplicable(self):
+        # the NPV slopes downward, but its one IRR, 99 (9,900%), lies
+        # outside DEFAULT_IRR_BOUNDS
+        project = Project("x", (-1.0, 100.0))
+        assert npv_slope_class(project) == "decreasing"
+        assert irr_all(project).classification == "none"
+        assert profitability_test(project, 0.05) == "inapplicable"
+
 
 class TestComparePairwise:
     def test_a_against_b(self, project_a, project_b):
