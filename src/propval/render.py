@@ -112,8 +112,8 @@ def format_percent(rate: float, places: int = 2) -> str:
 def align_table(rows: list[list[str]]) -> str:
     """Left-aligned columns, two-space gutters; ragged rows raise ValueError.
 
-    Each column but the last is padded to its widest cell, and every line
-    is stripped of trailing blanks, so the last column is never padded.
+    Every column but the last is padded to its widest cell, and each line
+    is stripped of trailing blanks.
     """
     columns = list(zip(*rows, strict=True))
     if columns:

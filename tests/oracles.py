@@ -123,12 +123,10 @@ def relclose(actual: float, expected: float, rel: float, abs_floor: float = 1e-9
 
 
 def _annuity_exact(rate: Fraction, n: int) -> Fraction:
+    if rate == 0:
+        return Fraction(n)
     growth = 1 + rate
     return (1 - growth**-n) / rate
-
-
-def _annuity_or_count(rate: Fraction, n: int) -> Fraction:
-    return Fraction(n) if rate == 0 else _annuity_exact(rate, n)
 
 
 def ellwood_rate_exact(loan_to_value, annual_rate, months: int, hold: int, equity_yield, asset_change):
@@ -145,9 +143,9 @@ def ellwood_rate_exact(loan_to_value, annual_rate, months: int, hold: int, equit
     """
     m, y, change = Fraction(loan_to_value), Fraction(equity_yield), Fraction(asset_change)
     monthly = Fraction(annual_rate) / 12
-    loan_annuity = _annuity_or_count(monthly, months)
-    r_m, bal = 12 / loan_annuity, _annuity_or_count(monthly, months - 12 * hold) / loan_annuity
-    hold_annuity, v_h = _annuity_or_count(y, hold), (1 + y) ** -hold
+    loan_annuity = _annuity_exact(monthly, months)
+    r_m, bal = 12 / loan_annuity, _annuity_exact(monthly, months - 12 * hold) / loan_annuity
+    hold_annuity, v_h = _annuity_exact(y, hold), (1 + y) ** -hold
     rate = m * r_m + ((1 - m) - (1 + change - m * bal) * v_h) / hold_annuity
     scale = (1 - m) * abs(y) + m * r_m + (abs(change) + m * (1 - bal)) * v_h / hold_annuity
     return rate, scale
