@@ -134,46 +134,39 @@ def _report(projects, result, output_format: str, places: dict[str, int]) -> int
     return _emit(output_format, lambda: table(*report), lambda: csv(*report), lambda: _dumps(to_dict(*report)))
 
 
-def _load_json(path: str):
+def _load(path: str, convert):
+    """convert(data) of the JSON file at path. A file that cannot be read or
+    decoded, or whose data convert refuses with ValueError, raises InputFileError."""
     import json
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_project_file(path: str):
-    from . import projects
-
-    data = _load_json(path)
     try:
-        return projects.project_from_dict(data, fallback_name=path)
+        return convert(data)
     except ValueError as exc:
         raise InputFileError(f"{path}: {exc}") from exc
 
 
-def _load_reductions_file(path: str) -> list[float]:
-    data = _load_json(path)
+def _reductions(data) -> list[float]:
+    """amort general's principal reductions: a nonempty array of finite
+    numbers, bare or under "principal_reductions"."""
     if isinstance(data, dict):
         data = data.get("principal_reductions")
     if not isinstance(data, list) or not data:
-        raise InputFileError(
-            f"{path}: expected a JSON array of principal reductions "
-            '(or {"principal_reductions": [...]})'
-        )
+        raise ValueError('expected a JSON array of principal reductions (or {"principal_reductions": [...]})')
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
-        raise InputFileError(f"{path}: principal reductions must all be numbers")
+        raise ValueError("principal reductions must all be numbers")
     try:
         reductions = [float(x) for x in data]
-        finite = all(map(math.isfinite, reductions))
     except OverflowError:  # an integer beyond the double range
-        finite = False
-    if not finite:
-        raise InputFileError(f"{path}: principal reductions must be finite")
+        reductions = [math.inf]
+    if not all(map(math.isfinite, reductions)):
+        raise ValueError("principal reductions must be finite")
     return reductions
 
 
@@ -224,7 +217,7 @@ def _irr(projects, args: argparse.Namespace) -> tuple:
     if not args.compare and len(args.files) != 1:
         raise ValueError("analyze one project file, or pass two with --compare")
 
-    loaded = [_load_project_file(path) for path in args.files]
+    loaded = [_load(path, lambda data: projects.project_from_dict(data, fallback_name=path)) for path in args.files]
     if args.compare:
         report = (projects.compare_pairwise(*loaded, bounds), (0.10, 0.12) if args.npv_at is None else args.npv_at)
         return report, (projects.comparison_table, projects.comparison_csv, projects.comparison_to_dict)
@@ -280,7 +273,7 @@ _TREE = {
             "equal payments", lambda m, a: m.level_schedule(a.pv, a.i, a.n),
             _real("--pv", "loan principal"), _real("--i", "rate per period"), _N),
         "general": _leaf(
-            "given principal reductions", lambda m, a: m.generalized_schedule(_load_reductions_file(a.file), a.i),
+            "given principal reductions", lambda m, a: m.generalized_schedule(_load(a.file, _reductions), a.i),
             ("--file", dict(required=True, help="JSON file with the principal reductions")),
             _real("--i", "rate per period")),
         "sinking": _leaf(

@@ -12,6 +12,8 @@ the sinking-fund declining streams behind the Ring and Hoskold methods.
 
 from __future__ import annotations
 
+import math
+
 from . import _EXPORTS
 from ._record import record
 from .timevalue import (
@@ -51,21 +53,52 @@ class OffsetStreamSpec(record("OffsetStreamSpec", "first_income decrement recurr
 
 
 def recurrence_terms(spec: RecurrenceSpec, n: int) -> list[float]:
-    """First n generated terms y_1..y_n, by iterating the recurrence."""
+    """First n generated terms y_1..y_n, by iterating the recurrence.
+
+    A step whose m*y leaves the double range is taken again as
+    y + ((m-1)y + b), which stays in range wherever the term does.
+    """
     n = _check_periods(n)
+    m, b, y = spec
     terms = []
-    y = spec.seed
     for _ in range(n):
-        y = spec.multiplier * y + spec.increment
+        step = m * y + b
+        if not math.isfinite(step):
+            step = y + ((m - 1.0) * y + b)
+            if not math.isfinite(step):
+                raise OverflowError("recurrence_terms: result is out of floating-point range")
+        y = step
         terms.append(y)
     return terms
 
 
 def recurrence_term(spec: RecurrenceSpec, k: int) -> float:
-    """Closed form for y_k: m^k c + b s(k, m-1), which is c + kb when m = 1."""
+    """Closed form for y_k: m^k c + b s(k, m-1), which is c + kb when m = 1.
+
+    Where m^k c or b s(k, m-1) leaves the double range, y_k is taken again
+    as c + s(k, m-1)((m-1)c + b), whose last factor is computed exactly, so
+    that a stream fixed at c (a last factor of 0) returns c itself.
+    """
     k = _check_periods(k, name="k", minimum=0)
     m, b, c = spec
-    return m**k * c + b * _accumulation(m - 1.0, k)
+    try:
+        term = m**k * c + b * _accumulation(m - 1.0, k)
+        if math.isfinite(term):
+            return term
+    except OverflowError:  # m**k or s(k, m-1) past the double range
+        pass
+    from fractions import Fraction
+
+    slope = (Fraction(m) - 1) * Fraction(c) + Fraction(b)
+    if slope == 0:
+        return c
+    try:
+        term = c + _accumulation(m - 1.0, k) * float(slope)
+    except OverflowError:
+        term = math.inf
+    if math.isfinite(term):
+        return term
+    raise OverflowError("recurrence_term: result is out of floating-point range")
 
 
 def value_recurrence_stream(spec: RecurrenceSpec, rate: float, n: int) -> float:
@@ -148,7 +181,11 @@ def hoskold_stream_value(income: float, rate: float, safe_rate: float, n: int) -
     stream itself (see hoskold_income_stream) declines by the compounding
     interest losses of recovering capital at the safe rate.
     """
-    return _hoskold(income, rate, safe_rate, n)[0]
+    income, rate, safe_rate, n, sff = _hoskold(income, rate, safe_rate, n)
+    value = income / (rate + sff)
+    if math.isfinite(value):
+        return value
+    raise OverflowError("hoskold_stream_value: result is out of floating-point range")
 
 
 def hoskold_income_stream(income: float, rate: float, safe_rate: float, n: int) -> list[float]:
@@ -158,19 +195,28 @@ def hoskold_income_stream(income: float, rate: float, safe_rate: float, n: int) 
     I and each later one sheds the accumulated interest losses on the
     safe-rate recovery deposits. With i_s = 0 the drop is the constant
     i*V/n of the straight-line method; with i_s = i the stream is level.
+    The loss is taken as I (i - i_s) SFF / (i + SFF), so a stream in range
+    is returned also where V itself is not.
     """
-    value, income, rate, safe_rate, n = _hoskold(income, rate, safe_rate, n)
-    loss = (rate - safe_rate) * _sff(safe_rate, n) * value
-    return [income - loss * _accumulation(safe_rate, k) for k in range(n)]
+    income, rate, safe_rate, n, sff = _hoskold(income, rate, safe_rate, n)
+    loss = income * ((rate - safe_rate) * sff / (rate + sff))
+    try:
+        stream = [income - loss * _accumulation(safe_rate, k) for k in range(n)]
+    except OverflowError:  # s(k, i_s) past the double range, so 1 - v^n rounds to 1: s(k) SFF = v^(n-k) (1 - v^k)
+        ratio, log_v = (rate - safe_rate) / (rate + sff), -math.log1p(safe_rate)
+        stream = [income - income * (math.exp((n - k) * log_v) * -math.expm1(k * log_v)) * ratio for k in range(n)]
+    if all(map(math.isfinite, stream)):
+        return stream
+    raise OverflowError("hoskold_income_stream: result is out of floating-point range")
 
 
 def _hoskold(income: float, rate: float, safe_rate: float, n: int) -> tuple:
-    # the Hoskold value and the checked arguments it was computed from
+    # the checked arguments and SFF(n, i_s), with i + SFF known to be nonzero
     income = _check_real(income, "income")
     rate = _check_real(rate, "rate", _RATE)
     safe_rate = _check_real(safe_rate, "safe_rate", _NONNEGATIVE)
     n = _check_periods(n)
-    denom = rate + _sff(safe_rate, n)
-    if denom == 0.0:
+    sff = _sff(safe_rate, n)
+    if rate + sff == 0.0:
         raise ValueError("rate plus sinking fund factor is zero; value undefined")
-    return income / denom, income, rate, safe_rate, n
+    return income, rate, safe_rate, n, sff

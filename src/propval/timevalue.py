@@ -123,7 +123,10 @@ def _increasing(growth: float, rate: float, n: int) -> float:
 def _sff(rate: float, n: int) -> float:
     if rate == 0.0:
         return 1.0 / n
-    return rate / math.expm1(n * math.log1p(rate))
+    try:
+        return rate / math.expm1(n * math.log1p(rate))
+    except OverflowError:  # (1+rate)^n past the double range, where 1 - v^n rounds to 1: SFF = rate v^n
+        return math.exp(math.log(rate) - n * math.log1p(rate))
 
 
 @lru_cache(maxsize=256)  # a cap-rate sweep asks for each yield's J at several points

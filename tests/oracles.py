@@ -151,6 +151,27 @@ def ellwood_rate_exact(loan_to_value, annual_rate, months: int, hold: int, equit
     return rate, scale
 
 
+def ellwood_j_rate_exact(
+    loan_to_value, annual_rate, months: int, hold: int, equity_yield, asset_change, income_change
+):
+    """Changing-income cap rate R_J = R / (1 + delta J) and its scale
+    S / |1 + delta J|, in exact rationals from the same doubles.
+
+    R and S are those of ellwood_rate_exact, and J over the hold H at the
+    equity yield Y is (H / (1 - v^H) - 1/Y) / s(H, Y), or (H + 1) / (2H) at
+    Y = 0. A zero 1 + delta J, where no rate exists, raises ZeroDivisionError.
+    """
+    rate, scale = ellwood_rate_exact(loan_to_value, annual_rate, months, hold, equity_yield, asset_change)
+    y = Fraction(equity_yield)
+    if y == 0:
+        j = Fraction(hold + 1, 2 * hold)
+    else:
+        growth = 1 + y
+        j = (hold / (1 - growth**-hold) - 1 / y) / ((growth**hold - 1) / y)
+    adjustment = 1 + Fraction(income_change) * j
+    return rate / adjustment, scale / abs(adjustment)
+
+
 def bal_form2_exact(k: int, n: int, rate: float) -> float:
     """(1+i)^k * (1 - a(k)/a(n)) in exact rational arithmetic.
 

@@ -35,6 +35,7 @@ from propval import (
     compound_amount,
     constant_ratio_annuity_value,
     ellwood_cap_rate,
+    ellwood_j_cap_rate,
     ellwood_j_factor,
     generalized_schedule,
     installment_to_amortize,
@@ -53,6 +54,7 @@ from propval import (
 from oracles import (
     assert_rows_within,
     ellwood_j_exact,
+    ellwood_j_rate_exact,
     ellwood_rate_exact,
     generalized_schedule_exact,
     level_schedule_exact,
@@ -253,13 +255,33 @@ def test_npv(flows, rate):
 LOAN_TO_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 0.7, 0.9, 1.0]), st.floats(0.0, 1.0))
 NOTE_RATES = st.one_of(st.just(0.0), st.floats(-0.05, 0.25))
 EQUITY_YIELDS = st.one_of(st.just(0.0), st.floats(-0.5, 1.0), st.floats(-1e-6, 1e-6))
+CHANGES = st.floats(-1.0, 2.0)
 
 
 @EXAMPLES
-@given(st.data(), LOAN_TO_VALUES, NOTE_RATES, st.integers(120, 360), EQUITY_YIELDS, st.floats(-1.0, 2.0))
+@given(st.data(), LOAN_TO_VALUES, NOTE_RATES, st.integers(120, 360), EQUITY_YIELDS, CHANGES)
 def test_ellwood_cap_rate(data, m, note_rate, months, equity_yield, change):
     hold = data.draw(st.integers(1, months // 12))
     result = ellwood_cap_rate(MortgageTerms(m, note_rate, months, hold), equity_yield, AppreciationSpec(change))
     exact, scale = ellwood_rate_exact(m, note_rate, months, hold, equity_yield, change)
+    _assert_within(result.rate, exact, scale)
+    _assert_within(result.akerson_rate, exact, scale)
+
+
+# The changing-income rate R_J = R / (1 + delta J) against the same identity
+# with J in exact rationals (oracles.ellwood_j_rate_exact), at the scale
+# S / |1 + delta J|: the code divides by 1 + delta J, which it refuses at 0.
+# The draws of test_ellwood_cap_rate, and relative income changes in [-1, 2].
+@EXAMPLES
+@given(st.data(), LOAN_TO_VALUES, NOTE_RATES, st.integers(120, 360), EQUITY_YIELDS, CHANGES, CHANGES)
+def test_ellwood_j_cap_rate(data, m, note_rate, months, equity_yield, change, income_change):
+    hold = data.draw(st.integers(1, months // 12))
+    try:
+        exact, scale = ellwood_j_rate_exact(m, note_rate, months, hold, equity_yield, change, income_change)
+    except ZeroDivisionError:  # the income change cancels the J adjustment: no rate exists
+        return
+    result = ellwood_j_cap_rate(
+        MortgageTerms(m, note_rate, months, hold), equity_yield, AppreciationSpec(change, income_change)
+    )
     _assert_within(result.rate, exact, scale)
     _assert_within(result.akerson_rate, exact, scale)

@@ -152,6 +152,15 @@ class TestAmort:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("command", [("irr",), ("amort", "general", "--i", "0.1", "--file")])
+    def test_file_not_in_utf8_is_input_error(self, run, tmp_path, command):
+        # JSON text is UTF-8: a byte that cannot start a character makes the file malformed
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9", "cashflows": [-1, 2]}')
+        code, out, err = run(*command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"propval: error: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xe9")
+
     def test_precision_is_checked_before_the_file_is_read(self, run, tmp_path):
         argv = ("amort", "general", "--file", str(tmp_path / "nope.json"), "--i", "0.1", "--precision", "13")
         code, out, err = run(*argv)

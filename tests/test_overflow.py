@@ -1,26 +1,33 @@
 """The out-of-range rule for the non-scalar results: the three schedule
-builders, verify_main_theorem and npv.
+builders, verify_main_theorem, npv, the recurrence terms and the Hoskold
+stream and its value.
 
 A call with finite arguments in its domain returns finite numbers only, or
 raises OverflowError whose message starts with the function's name.
-Principals and flows reach +-1e308, rates run from just above -1 to 1e308,
-and counts reach 10**4.
+Principals, flows, incomes and the recurrence's fields reach +-1e308, rates
+run from just above -1 to 1e308, safe rates from 0 to 1e308, and counts reach
+10**4.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propval import (
     AmortizationRow,
     AmortizationSchedule,
     Project,
+    RecurrenceSpec,
     generalized_schedule,
+    hoskold_income_stream,
+    hoskold_stream_value,
     level_schedule,
     npv,
+    recurrence_term,
+    recurrence_terms,
     schedule_to_csv,
     schedule_to_json,
     schedule_to_table,
@@ -47,6 +54,7 @@ AMOUNTS = st.one_of(
     st.tuples(st.lists(AMOUNT, min_size=1, max_size=5), COUNT).map(lambda t: t[0] + [0.0] * t[1]),
 )
 FLOWS = AMOUNTS.filter(lambda flows: len(flows) >= 2)
+SPEC = st.builds(RecurrenceSpec, AMOUNT, AMOUNT, AMOUNT)
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -58,6 +66,17 @@ def _call(function, *args):
     except OverflowError as exc:
         assert str(exc) == f"{function.__name__}: result is out of floating-point range"
         return None
+
+
+def _finite_or_refused(function, *args):
+    """function(*args) is finite floats, the rule's OverflowError, or the
+    ValueError of a Hoskold rate at -SFF(n, i_s)."""
+    try:
+        result = _call(function, *args)
+    except ValueError as exc:
+        assert str(exc) == "rate plus sinking fund factor is zero; value undefined"
+        return
+    assert result is None or all(map(math.isfinite, result if isinstance(result, list) else [result]))
 
 
 def _check_schedule(builder, *args):
@@ -93,6 +112,58 @@ def test_sinking_fund_schedule(principal, rate, recovery_rate, n):
 def test_npv(flows, rate):
     value = _call(npv, Project("P", flows), rate)
     assert value is None or math.isfinite(value)
+
+
+@SETTINGS
+@given(spec=SPEC, n=COUNT)
+@example(spec=RecurrenceSpec(1e200, 0.0, 1e200), n=3)
+@example(spec=RecurrenceSpec(2.0, -1e308, 1e308), n=3)
+def test_recurrence_terms(spec, n):
+    _finite_or_refused(recurrence_terms, spec, n)
+
+
+@SETTINGS
+@given(spec=SPEC, k=st.one_of(st.just(0), COUNT))
+@example(spec=RecurrenceSpec(10.0, 1.0, 1.0), k=400)
+def test_recurrence_term(spec, k):
+    _finite_or_refused(recurrence_term, spec, k)
+
+
+@SETTINGS
+@given(income=AMOUNT, rate=RATE, safe_rate=NONNEGATIVE_RATE, n=COUNT)
+@example(income=1e308, rate=0.1, safe_rate=0.05, n=10)
+def test_hoskold_income_stream(income, rate, safe_rate, n):
+    _finite_or_refused(hoskold_income_stream, income, rate, safe_rate, n)
+
+
+@SETTINGS
+@given(income=AMOUNT, rate=RATE, safe_rate=NONNEGATIVE_RATE, n=COUNT)
+@example(income=1e308, rate=0.1, safe_rate=0.05, n=10)
+def test_hoskold_stream_value(income, rate, safe_rate, n):
+    _finite_or_refused(hoskold_stream_value, income, rate, safe_rate, n)
+
+
+@pytest.mark.parametrize(
+    "spec, k, term",
+    [
+        (RecurrenceSpec(2.0, -1e308, 1e308), 400, 1e308),
+        (RecurrenceSpec(10.0, -9.0, 1.0), 400, 1.0),
+    ],
+    ids=["m-y-overflows", "fixed-point"],
+)
+def test_recurrence_returns_a_term_past_an_overflowed_power(spec, k, term):
+    """m^k c overflows, but the stream stays at its fixed point c."""
+    assert recurrence_term(spec, k) == term
+    assert recurrence_terms(spec, k)[-1] == term
+
+
+def test_hoskold_stream_without_its_value():
+    """V = I / (i + SFF) is about 5.6e308; the stream it prices is not."""
+    stream = hoskold_income_stream(1e308, 0.1, 0.05, 10)
+    assert stream[0] == 1e308 and all(math.isfinite(x) for x in stream)
+    assert stream[1] == pytest.approx(9.7785e307, rel=1e-4)
+    with pytest.raises(OverflowError, match="^hoskold_stream_value: result is out of floating-point range$"):
+        hoskold_stream_value(1e308, 0.1, 0.05, 10)
 
 
 @pytest.mark.parametrize(
