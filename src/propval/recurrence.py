@@ -203,8 +203,9 @@ def hoskold_income_stream(income: float, rate: float, safe_rate: float, n: int) 
     try:
         stream = [income - loss * _accumulation(safe_rate, k) for k in range(n)]
     except OverflowError:  # s(k, i_s) past the double range, so 1 - v^n rounds to 1: s(k) SFF = v^(n-k) (1 - v^k)
-        ratio, log_v = (rate - safe_rate) / (rate + sff), -math.log1p(safe_rate)
-        stream = [income - income * (math.exp((n - k) * log_v) * -math.expm1(k * log_v)) * ratio for k in range(n)]
+        log_v = -math.log1p(safe_rate)
+        shares = (math.exp((n - k) * log_v) * -math.expm1(k * log_v) for k in range(n))
+        stream = [income - income * ((rate - safe_rate) * share / (rate + sff)) for share in shares]
     if all(map(math.isfinite, stream)):
         return stream
     raise OverflowError("hoskold_income_stream: result is out of floating-point range")

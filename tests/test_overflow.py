@@ -132,6 +132,7 @@ def test_recurrence_term(spec, k):
 @SETTINGS
 @given(income=AMOUNT, rate=RATE, safe_rate=NONNEGATIVE_RATE, n=COUNT)
 @example(income=1e308, rate=0.1, safe_rate=0.05, n=10)
+@example(income=100.0, rate=0.1, safe_rate=1.0, n=2000)
 def test_hoskold_income_stream(income, rate, safe_rate, n):
     _finite_or_refused(hoskold_income_stream, income, rate, safe_rate, n)
 
@@ -139,6 +140,7 @@ def test_hoskold_income_stream(income, rate, safe_rate, n):
 @SETTINGS
 @given(income=AMOUNT, rate=RATE, safe_rate=NONNEGATIVE_RATE, n=COUNT)
 @example(income=1e308, rate=0.1, safe_rate=0.05, n=10)
+@example(income=100.0, rate=0.1, safe_rate=1.0, n=2000)
 def test_hoskold_stream_value(income, rate, safe_rate, n):
     _finite_or_refused(hoskold_stream_value, income, rate, safe_rate, n)
 
@@ -164,6 +166,21 @@ def test_hoskold_stream_without_its_value():
     assert stream[1] == pytest.approx(9.7785e307, rel=1e-4)
     with pytest.raises(OverflowError, match="^hoskold_stream_value: result is out of floating-point range$"):
         hoskold_stream_value(1e308, 0.1, 0.05, 10)
+
+
+@pytest.mark.parametrize(
+    "safe_rate, n, last",
+    [(1.0, 2000, 550.0), (1e308, 10, 1100.0)],
+    ids=["s-n-overflows", "loss-ratio-overflows"],
+)
+def test_hoskold_stream_past_an_overflowed_accumulation(safe_rate, n, last):
+    """s(n, i_s) is beyond the double range, and at i_s = 1e308 so is
+    (i - i_s) / (i + SFF); each income, I less I (i - i_s) s(k) SFF /
+    (i + SFF), is not. At I = 100 and i = 0.1 the last one is
+    100 (1 + (i_s - 0.1) / (0.1 (1 + i_s))), exact within rounding."""
+    stream = hoskold_income_stream(100.0, 0.1, safe_rate, n)
+    assert stream[0] == 100.0 and all(math.isfinite(x) for x in stream)
+    assert stream[-1] == pytest.approx(last, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,14 @@ class TestSinkingFundFactor:
         assert sinking_fund_factor(0.10, 5) == pytest.approx(0.16379748079474532, rel=1e-12)
         assert sinking_fund_factor(0.10, 5) == pytest.approx(1.0 / accumulation_sum(0.10, 5), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "rate, n, exact",
+        [(1e300, 2, 1e-300), (1.0, 1025, 2.0**-1025), (1e300, 10, 0.0), (1.0, 2000, 0.0)],
+    )
+    def test_accumulation_past_the_double_range(self, rate, n, exact):
+        # (1+r)^n overflows, but SFF = r / ((1+r)^n - 1) is r v^n in range, or rounds to 0.0
+        assert sinking_fund_factor(rate, n) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 
 class TestBalanceFraction:
     def test_nothing_repaid_at_start(self):
