@@ -3,14 +3,15 @@
 A project is a dated cash-flow vector starting at time zero. NPV is a
 polynomial in w = 1/(1+r), evaluated by Horner's rule at every rate. The
 IRR search isolates its roots on two charts that keep every power of the
-variable at most 1: w itself for r >= 0, and 1+r (coefficients
-reversed) for r < 0. Flows with at most one Descartes sign change have at
-most one IRR and need one bracketed solve; other flows are bisected until
-enclosures of the NPV and its slope prove each piece holds no root or at
-most one, or the piece is narrower than ROOT_RESOLUTION in rate. Roots
-closer than ROOT_RESOLUTION are reported once, and a tangent root (the
-curve touching zero without crossing) is reported when the NPV at the
-touching point is zero within its own rounding error.
+variable at most 1: w itself for r >= 0, and 1+r (coefficients reversed)
+for r < 0. Flows with at most one Descartes sign change have at most one
+IRR and need one bracketed solve and no slope at a chart's ends; other
+flows are bisected until enclosures of the NPV and its slope prove each
+piece holds no root or at most one, or the piece is narrower than
+ROOT_RESOLUTION in rate. Roots closer than ROOT_RESOLUTION are reported
+once, and a tangent root (the curve touching zero without crossing) is
+reported when the NPV at the touching point is zero within its own
+rounding error.
 
 The pitfalls of quoting a single IRR are first-class here: sign-flipped
 projects share roots, multiple or missing roots are reported as such, and
@@ -204,7 +205,19 @@ def _chart_roots(coeffs, x_lo: float, x_hi: float, to_rate, unique: bool) -> lis
         vm, dm = _horner(neg, x)
         return x, vp, vm, dp, dm
 
-    lo_pt, hi_pt = point(x_lo), point(x_hi)
+    def value(x: float) -> tuple[float, float, float, float, float]:
+        # p+ and p- in _horner's operation order, and bounds on their slopes:
+        # p'(x) = sum k*a_k*x^(k-1) <= n*p(x)/x, plus p(x)/x for rounding
+        vp = vm = 0.0
+        for cp, cm in zip(pos, neg):
+            vp = vp * x + cp
+            vm = vm * x + cm
+        return x, vp, vm, len(coeffs) * vp / x, len(coeffs) * vm / x
+
+    # one sign change reads no slope at the ends; the overflow test below
+    # takes the slope bounds only at x_hi = 1, as they loosen with 1/x
+    lo_pt = (value if unique else point)(x_lo)
+    hi_pt = (value if unique and x_hi == 1.0 else point)(x_hi)
     _, vp, vm, dp, dm = hi_pt
     if vp + vm + dp + dm > _SCALE_LIMIT:
         # p+, p- and their slopes increase on (0, 1], so their values at x_hi
@@ -270,21 +283,25 @@ def irr_all(project: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS) 
     overflows near r = -1.
 
     Flows with at most one Descartes sign change have at most one IRR, so
-    each chart needs only a bracketed solve. Otherwise each chart interval
-    is bisected until every node is settled by enclosures of the NPV and
-    its slope, built from the increasing positive and negative parts of the
-    polynomial: no root, or a monotone stretch with at most one root.
-    Nodes narrower than ROOT_RESOLUTION in rate stop there and report at
-    most one root: a crossing when their ends differ in sign, else one at
-    the slope's zero where the NPV is zero within its own rounding error
-    (a tangent root) or of the sign opposite to the ends (two crossings).
-    Roots closer than ROOT_RESOLUTION are reported once; a bound
+    each chart needs only a bracketed solve, and no slope at its ends.
+    Otherwise each chart interval is bisected until every node is settled by
+    enclosures of the NPV and its slope, built from the increasing positive
+    and negative parts of the polynomial: no root, or a monotone stretch
+    with at most one root. Nodes narrower than ROOT_RESOLUTION in rate stop
+    there and report at most one root: a crossing when their ends differ in
+    sign, else one at the slope's zero where the NPV is zero within its own
+    rounding error (a tangent root) or of the sign opposite to the ends (two
+    crossings). Roots closer than ROOT_RESOLUTION are reported once; a bound
     where the NPV is zero within rounding error counts as a root. An empty
     result is a valid outcome, classified 'none'.
     """
     if not any(c != 0.0 for c in project.cashflows):
         raise ValueError("project has no nonzero cash flows; IRR undefined")
-    lo, hi = _check_real(bounds[0], "lower bound", _RATE), _check_real(bounds[1], "upper bound", _RATE)
+    try:
+        lo, hi = bounds
+    except (TypeError, ValueError):
+        raise ValueError(f"bounds must be two rates, got {bounds!r}") from None
+    lo, hi = _check_real(lo, "lower bound", _RATE), _check_real(hi, "upper bound", _RATE)
     if not hi > lo:
         raise ValueError(f"bounds must be increasing, got {bounds!r}")
     flows = project.cashflows

@@ -1,7 +1,10 @@
+import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -128,6 +131,38 @@ class TestIrrAll:
             for root in result.roots:
                 assert abs(npv(project, root)) < 1e-6 * project.gross
 
+    @pytest.mark.parametrize("bounds", [(0.1,), 5, (0.0, 1.0, 2.0)], ids=["one", "int", "three"])
+    def test_bounds_must_be_two_rates(self, project_a, project_b, bounds):
+        # one rate raised IndexError, an int TypeError, and a third rate was ignored
+        message = re.escape(f"bounds must be two rates, got {bounds!r}")
+        with pytest.raises(ValueError, match=message):
+            irr_all(project_a, bounds)
+        with pytest.raises(ValueError, match=message):
+            compare_pairwise(project_a, project_b, bounds)
+
+    def test_loan_search_makes_horner_passes_in_solve_only(self, monkeypatch):
+        # one sign change reads no slope at a chart's ends, so every
+        # _horner pass is a _solve step; evaluating the four ends with
+        # _horner, with slopes, would make 8 more
+        passes, solving = [], []
+        horner, solve = projects._horner, projects._solve
+
+        def counted_horner(coeffs, x):
+            passes.append(bool(solving))
+            return horner(coeffs, x)
+
+        def counted_solve(*args):
+            solving.append(True)
+            try:
+                return solve(*args)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(projects, "_horner", counted_horner)
+        monkeypatch.setattr(projects, "_solve", counted_solve)
+        assert irr_all(_monthly_loan(250_000.0, 0.005)).roots == pytest.approx((0.005,), abs=1e-9)
+        assert passes and all(passes)
+
     def test_rejects_all_zero_project(self):
         with pytest.raises(ValueError):
             irr_all(Project("z", (0.0, 0.0, 0.0)))
@@ -150,6 +185,49 @@ def _close_pair(r1: float, gap_exponent: float, r3: float) -> tuple[float, ...]:
     r1 + 10**gap_exponent and r3 before the flows round."""
     a, b, c = (1.0 / (1.0 + r) for r in (r1, r1 + 10.0**gap_exponent, r3))
     return tuple(1000.0 * x for x in (-a * b * c, a * b + b * c + c * a, -(a + b + c), 1.0))
+
+
+# every root of _unique_flow_projects under PIN_BOUNDS, as float.hex; to
+# rewrite it after an intended change, run this file as a script:
+# PYTHONPATH=src python tests/test_projects.py
+UNIQUE_ROOTS = Path(__file__).parent / "unique_roots.json"
+# the default bounds, then bounds on either side of r = 0 that exclude it
+PIN_BOUNDS = (projects.DEFAULT_IRR_BOUNDS, (1e-4, 10.0), (-0.999, -1e-4))
+
+
+def _outlay_then_inflows(rng: random.Random, n: int, lo: float, hi: float) -> tuple[float, ...]:
+    """An outlay then n - 1 inflows in [lo, hi], whose IRR lies on either side of 0."""
+    inflows = [rng.uniform(lo, hi) for _ in range(n - 1)]
+    return (-sum(inflows) * rng.uniform(0.4, 1.3), *inflows)
+
+
+def _unique_flow_projects() -> list[tuple[str, tuple[float, ...]]]:
+    """200 seeded projects whose flows change sign once: 80 short
+    conventional projects (4-12 flows), 60 monthly loans of 360 payments
+    at annual rates from -1% to 12%, and 60 comparison differences a - b."""
+    rng = random.Random("unique-flow roots")
+    drawn = [(f"short{i}", _outlay_then_inflows(rng, rng.randint(4, 12), 50.0, 600.0)) for i in range(80)]
+    for i in range(60):
+        loan = _monthly_loan(rng.uniform(50_000.0, 900_000.0), rng.uniform(-0.01, 0.12) / 12.0)
+        drawn.append((f"loan{i}", loan.cashflows))
+    for i in range(60):
+        n = rng.randint(4, 8)
+        a = _outlay_then_inflows(rng, n, 300.0, 900.0)
+        b = tuple(x - y for x, y in zip(a, _outlay_then_inflows(rng, n, 20.0, 250.0)))
+        drawn.append((f"difference{i}", tuple(x - y for x, y in zip(a, b))))
+    return drawn
+
+
+def _unique_roots() -> dict[str, list[list[str]]]:
+    return {
+        name: [[root.hex() for root in irr_all(Project(name, flows), bounds).roots] for bounds in PIN_BOUNDS]
+        for name, flows in _unique_flow_projects()
+    }
+
+
+def test_unique_flow_roots_are_pinned_bit_for_bit():
+    assert all(projects._sign_changes(flows) == 1 for _, flows in _unique_flow_projects())
+    assert _unique_roots() == json.loads(UNIQUE_ROOTS.read_text(encoding="utf-8"))
 
 
 CLOSE_PAIRS = st.builds(_close_pair, st.floats(2.0, 2.8), st.floats(-7.0, -4.0), st.floats(-0.5, 1.5))
@@ -227,6 +305,38 @@ class TestIrrHardCases:
         scaled = Project("S", [math.ldexp(c, -1000) for c in huge.cashflows])
         assert irr_all(huge) == irr_all(scaled)
         assert irr_all(huge).roots == pytest.approx(irr_all(Project("B", base)).roots, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        ("rate", "bounds", "first_rescaled"),
+        [
+            (0.005, projects.DEFAULT_IRR_BOUNDS, 972),
+            (0.005, (1e-4, 10.0), 974),
+            (-0.002, projects.DEFAULT_IRR_BOUNDS, 973),
+            (-0.002, (-0.5, -1e-4), 974),
+        ],
+        ids=["default", "w-chart-excludes-0", "negative-default", "x-chart-excludes-0"],
+    )
+    def test_scaled_loan_keeps_its_root_across_the_rescale(self, monkeypatch, rate, bounds, first_rescaled):
+        """A 360-payment loan times 2**k gives the unscaled result for every
+        k up to the double limit, with no warning. Each chart is rescaled
+        once from k = first_rescaled on and never before: with bounds that
+        hold r = 0, once (n + 2) times its absolute flows sum past 2**1000;
+        otherwise once the NPV parts and their slopes at the bound nearest
+        r = 0 do. A rescaled chart's largest coefficient is below 1, so its
+        sums stay near n**2 and it is never rescaled twice."""
+        loan = _monthly_loan(250_000.0, rate)
+        expected = irr_all(loan, bounds)
+        assert len(expected.roots) == 1
+        charts, calls = (bounds[0] < 0.0) + (bounds[1] > 0.0), []
+        chart_roots = projects._chart_roots
+        monkeypatch.setattr(projects, "_chart_roots", lambda *args: calls.append(1) or chart_roots(*args))
+        for k in range(first_rescaled - 12, 1007):  # 2**1007 times the principal is past the double range
+            scaled = Project("S", [math.ldexp(c, k) for c in loan.cashflows])
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert irr_all(scaled, bounds) == expected, k
+            assert len(calls) - charts == (0 if k < first_rescaled else charts), k
 
     def test_golden_ratio_at_the_double_limit(self):
         # -1 + x + x^2 = 0 in x = 1/(1+r): r = (1 + sqrt 5)/2 - 1 at every scale
@@ -446,3 +556,7 @@ class TestIngestionAndReports:
     def test_degenerate_table_mentions_it(self, project_a):
         text = comparison_table(compare_pairwise(project_a, project_a))
         assert "degenerate" in text
+
+
+if __name__ == "__main__":
+    UNIQUE_ROOTS.write_text(json.dumps(_unique_roots(), indent=1) + "\n", encoding="utf-8")
