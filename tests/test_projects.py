@@ -201,12 +201,33 @@ def _outlay_then_inflows(rng: random.Random, n: int, lo: float, hi: float) -> tu
     return (-sum(inflows) * rng.uniform(0.4, 1.3), *inflows)
 
 
+def _zero_flow_projects() -> list[tuple[str, tuple[float, ...]]]:
+    """20 seeded one-sign-change projects with flows of 0.0 and -0.0: 10
+    monthly loans whose first 1-6 payments are deferred, (-P, 0.0, -0.0,
+    0.0, A, ...), and 10 short projects with an interior 0.0 and a trailing
+    -0.0."""
+    rng = random.Random("zero-flow roots")
+    drawn = []
+    for i in range(10):
+        principal, rate = rng.uniform(50_000.0, 900_000.0), rng.uniform(-0.01, 0.12) / 12.0
+        deferred = rng.randint(1, 6)
+        payments = _monthly_loan(principal * (1.0 + rate) ** deferred, rate, 360 - deferred).cashflows[1:]
+        drawn.append((f"deferred{i}", (-principal, *((0.0, -0.0) * 3)[:deferred], *payments)))
+    for i in range(10):
+        flows = list(_outlay_then_inflows(rng, rng.randint(4, 12), 50.0, 600.0))
+        flows[rng.randint(1, len(flows) - 2)] = 0.0
+        drawn.append((f"gapped{i}", (*flows, -0.0)))
+    return drawn
+
+
 def _unique_flow_projects() -> list[tuple[str, tuple[float, ...]]]:
-    """200 seeded projects whose flows change sign once: 80 short
-    conventional projects (4-12 flows), 60 monthly loans of 360 payments
-    at annual rates from -1% to 12%, and 60 comparison differences a - b."""
+    """220 seeded projects whose flows change sign once: the 20 with zero
+    flows above, then 80 short conventional projects (4-12 flows), 60
+    monthly loans of 360 payments at annual rates from -1% to 12%, and 60
+    comparison differences a - b."""
     rng = random.Random("unique-flow roots")
-    drawn = [(f"short{i}", _outlay_then_inflows(rng, rng.randint(4, 12), 50.0, 600.0)) for i in range(80)]
+    drawn = _zero_flow_projects()
+    drawn += [(f"short{i}", _outlay_then_inflows(rng, rng.randint(4, 12), 50.0, 600.0)) for i in range(80)]
     for i in range(60):
         loan = _monthly_loan(rng.uniform(50_000.0, 900_000.0), rng.uniform(-0.01, 0.12) / 12.0)
         drawn.append((f"loan{i}", loan.cashflows))
@@ -227,7 +248,18 @@ def _unique_roots() -> dict[str, list[list[str]]]:
 
 def test_unique_flow_roots_are_pinned_bit_for_bit():
     assert all(projects._sign_changes(flows) == 1 for _, flows in _unique_flow_projects())
-    assert _unique_roots() == json.loads(UNIQUE_ROOTS.read_text(encoding="utf-8"))
+    pinned, found = json.loads(UNIQUE_ROOTS.read_text(encoding="utf-8")), _unique_roots()
+    if found != pinned:
+        # a short list instead of pytest's diff of two dicts of 220 entries
+        unset = [None] * len(PIN_BOUNDS)
+        differing = [
+            f"{name} {bounds}: {old} -> {new}"
+            for name in {**pinned, **found}
+            for bounds, old, new in zip(PIN_BOUNDS, pinned.get(name, unset), found.get(name, unset))
+            if old != new
+        ]
+        listed = "\n".join(differing[:10])
+        pytest.fail(f"{len(differing)} pinned results differ, the first ten as pinned -> found:\n{listed}")
 
 
 CLOSE_PAIRS = st.builds(_close_pair, st.floats(2.0, 2.8), st.floats(-7.0, -4.0), st.floats(-0.5, 1.5))
