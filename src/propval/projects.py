@@ -5,7 +5,9 @@ polynomial in w = 1/(1+r), evaluated by Horner's rule at every rate. The
 IRR search isolates its roots on two charts that keep every power of the
 variable at most 1: w itself for r >= 0, and 1+r (coefficients reversed)
 for r < 0. Flows with at most one Descartes sign change have at most one
-IRR and need one bracketed solve and no slope at a chart's ends; other
+IRR and need one bracketed solve and no slope at a chart's ends; a chart
+of theirs that ends at r = 0 reads its ends straight from the flows, and
+forms neither the lists of positive and negative parts nor slopes. Other
 flows are bisected until enclosures of the NPV and its slope prove each
 piece holds no root or at most one, or the piece is narrower than
 ROOT_RESOLUTION in rate. Roots closer than ROOT_RESOLUTION are reported
@@ -139,6 +141,20 @@ def _horner(coeffs, x: float) -> tuple[float, float]:
     return p, dp
 
 
+def _parts(coeffs, x: float) -> tuple[float, float]:
+    # p+(x) and p-(x), the polynomials of the positive and the negated
+    # negative coefficients, with _horner's operations on those two lists
+    vp = vm = 0.0
+    for c in coeffs:
+        if c > 0.0:
+            vp = vp * x + c
+            vm = vm * x
+        else:
+            vp = vp * x
+            vm = vm * x - c
+    return vp, vm
+
+
 def _straddles_zero(fa: float, fb: float) -> bool:
     return min(fa, fb) <= 0.0 <= max(fa, fb)
 
@@ -194,8 +210,9 @@ def _solve(coeffs, a: float, b: float, fa: float, fb: float) -> float:
 def _chart_roots(coeffs, x_lo: float, x_hi: float, to_rate, unique: bool) -> list[float]:
     """Roots of the polynomial with these coefficients (highest power first)
     for x in [x_lo, x_hi], inside (0, 1]; to_rate maps x back to a rate."""
-    pos = [c if c > 0.0 else 0.0 for c in coeffs]
-    neg = [-c if c < 0.0 else 0.0 for c in coeffs]
+    if not unique or x_hi < 1.0:  # for slopes: the node loop, and the pre-scale test below 1
+        pos = [c if c > 0.0 else 0.0 for c in coeffs]
+        neg = [-c if c < 0.0 else 0.0 for c in coeffs]
     # Horner's rounding error on a sum of nonnegative terms, with a factor 2
     # to spare: the computed p is within tol * (p+ + p-) of the true value
     tol = 4.0 * len(coeffs) * _EPS
@@ -206,12 +223,9 @@ def _chart_roots(coeffs, x_lo: float, x_hi: float, to_rate, unique: bool) -> lis
         return x, vp, vm, dp, dm
 
     def value(x: float) -> tuple[float, float, float, float, float]:
-        # p+ and p- in _horner's operation order, and bounds on their slopes:
+        # p+ and p- read from the coefficients, and bounds on their slopes:
         # p'(x) = sum k*a_k*x^(k-1) <= n*p(x)/x, plus p(x)/x for rounding
-        vp = vm = 0.0
-        for cp, cm in zip(pos, neg):
-            vp = vp * x + cp
-            vm = vm * x + cm
+        vp, vm = _parts(coeffs, x)
         return x, vp, vm, len(coeffs) * vp / x, len(coeffs) * vm / x
 
     # one sign change reads no slope at the ends; the overflow test below
@@ -283,17 +297,21 @@ def irr_all(project: Project, bounds: tuple[float, float] = DEFAULT_IRR_BOUNDS) 
     overflows near r = -1.
 
     Flows with at most one Descartes sign change have at most one IRR, so
-    each chart needs only a bracketed solve, and no slope at its ends.
-    Otherwise each chart interval is bisected until every node is settled by
-    enclosures of the NPV and its slope, built from the increasing positive
-    and negative parts of the polynomial: no root, or a monotone stretch
-    with at most one root. Nodes narrower than ROOT_RESOLUTION in rate stop
-    there and report at most one root: a crossing when their ends differ in
-    sign, else one at the slope's zero where the NPV is zero within its own
-    rounding error (a tangent root) or of the sign opposite to the ends (two
-    crossings). Roots closer than ROOT_RESOLUTION are reported once; a bound
-    where the NPV is zero within rounding error counts as a root. An empty
-    result is a valid outcome, classified 'none'.
+    each chart needs only a bracketed solve, and no slope at its ends. A
+    chart that ends at r = 0 reads the positive and negative parts at its
+    ends straight from the flows; the lists of those parts are built only
+    where slopes are read: in the bisection below, and in the overflow
+    check at an upper end short of r = 0. Otherwise each chart interval is
+    bisected until every node is settled by enclosures of the NPV and its
+    slope, built from the increasing positive and negative parts of the
+    polynomial: no root, or a monotone stretch with at most one root. Nodes
+    narrower than ROOT_RESOLUTION in rate stop there and report at most
+    one root: a crossing when their ends differ in sign, else one at the
+    slope's zero where the NPV is zero within its own rounding error (a
+    tangent root) or of the sign opposite to the ends (two crossings).
+    Roots closer than ROOT_RESOLUTION are reported once; a bound where the
+    NPV is zero within rounding error counts as a root. An empty result is
+    a valid outcome, classified 'none'.
     """
     if not any(c != 0.0 for c in project.cashflows):
         raise ValueError("project has no nonzero cash flows; IRR undefined")

@@ -262,6 +262,28 @@ def test_unique_flow_roots_are_pinned_bit_for_bit():
         pytest.fail(f"{len(differing)} pinned results differ, the first ten as pinned -> found:\n{listed}")
 
 
+# zeros of both signs, subnormals, and magnitudes up to 1e300
+PART_COEFF = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+)
+PART_X = st.one_of(st.sampled_from([1.0, 0.5, 1e-3, 1e-300, 5e-324]), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(PART_COEFF, min_size=1, max_size=40), PART_X)
+@example([1.0, -0.0, 0.0, -2.0], 1.0)
+@example([-0.0, 1e300, 1e300, -1e300], 1.0)  # p+ overflows to inf
+@example([5e-324, -5e-324, 0.0], 5e-324)  # both parts underflow to 0.0
+def test_parts_match_horner_on_the_split_lists(coeffs, x):
+    # what the split lists hold in _chart_roots; float.hex tells 0.0 from -0.0
+    pos = [c if c > 0.0 else 0.0 for c in coeffs]
+    neg = [-c if c < 0.0 else 0.0 for c in coeffs]
+    expected = (projects._horner(pos, x)[0], projects._horner(neg, x)[0])
+    assert [v.hex() for v in projects._parts(coeffs, x)] == [v.hex() for v in expected]
+
+
 CLOSE_PAIRS = st.builds(_close_pair, st.floats(2.0, 2.8), st.floats(-7.0, -4.0), st.floats(-0.5, 1.5))
 
 
