@@ -274,7 +274,7 @@ PART_X = st.one_of(st.sampled_from([1.0, 0.5, 1e-3, 1e-300, 5e-324]), st.floats(
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.lists(PART_COEFF, min_size=1, max_size=40), PART_X)
 @example([1.0, -0.0, 0.0, -2.0], 1.0)
-@example([-0.0, 1e300, 1e300, -1e300], 1.0)  # p+ overflows to inf
+@example([-0.0, 1e300, -1e300, 1e300], 1.0)  # parts near the top of the drawn range
 @example([5e-324, -5e-324, 0.0], 5e-324)  # both parts underflow to 0.0
 def test_parts_match_horner_on_the_split_lists(coeffs, x):
     # what the split lists hold in _chart_roots; float.hex tells 0.0 from -0.0
